@@ -3,11 +3,16 @@ self-describing binary format.
 
 Layout: magic "ICDC", version u32, tensor count u32, then per tensor a u16
 name length, the UTF-8 name, a u8 rank, u32 dims, and the row-major float64
-payload. All integers and floats little-endian. Loads are bit-exact.
+payload. All integers and floats little-endian. Loads are bit-exact, and a
+load rejects duplicate names, names that are not UTF-8 and non-finite
+payloads. A save writes a temporary file beside the target and renames it
+over the target, so an interrupted save never leaves a torn checkpoint.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -34,8 +39,15 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray]) -> None:
         parts.append(struct.pack("<B", a.ndim))
         parts.append(struct.pack(f"<{a.ndim}I", *a.shape))
         parts.append(a.tobytes())
-    with open(path, "wb") as f:
-        f.write(b"".join(parts))
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(b"".join(parts))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 class _Reader:
@@ -67,12 +79,24 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = r.unpack("<H", "name length")
-        name = r.take(name_len, "name").decode("utf-8")
+        name_off = r.off
+        try:
+            name = r.take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(
+                f"tensor name is not UTF-8 at offset {name_off + e.start}") from None
+        if name in out:
+            raise CheckpointError(f"duplicate tensor name {name!r} at offset {name_off}")
         (ndim,) = r.unpack("<B", f"rank of {name}")
         shape = r.unpack(f"<{ndim}I", f"dims of {name}") if ndim else ()
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        data = r.take(8 * n, f"data of {name}")
-        out[name] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
+        n = math.prod(shape)  # a Python int: corrupt dims cannot wrap around
+        data_off = r.off
+        arr = np.frombuffer(r.take(8 * n, f"data of {name}"), dtype="<f8")
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise CheckpointError(
+                f"non-finite value in {name} at offset {data_off + 8 * int(bad[0])}")
+        out[name] = arr.reshape(shape).astype(np.float64)
     if r.off != len(r.buf):
         raise CheckpointError(f"trailing garbage at offset {r.off}")
     return out

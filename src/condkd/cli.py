@@ -14,26 +14,13 @@ import sys
 
 import numpy as np
 
-from . import tensor as T
-from .checkpoint import CheckpointError, load_checkpoint, load_group
+from .checkpoint import CheckpointError, load_checkpoint
 from .config import ExperimentConfig, load_config
 from .heatmap import export_attention, write_ppm
 from .instances import compute_stats, encode_set, make_query
 from .pyramid import flatten_pyramid
 from .scenes import generate_dataset
-from .train import (
-    ablate_attention,
-    ablate_aux,
-    ablate_cascade,
-    ablate_heads,
-    ablate_lambda,
-    build_system,
-    check_teacher_state,
-    distill_student,
-    heldout_scenes,
-    strip_meta,
-    train_teacher,
-)
+from .train import ABLATIONS, distill_student, heldout_scenes, load_system, sweep, train_teacher
 from . import verify
 
 logger = logging.getLogger("condkd")
@@ -63,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-name", default="distill")
 
     p = sub.add_parser("ablate", help="run an ablation sweep")
-    p.add_argument("which", choices=("attention", "heads", "aux", "lambda", "cascade"))
+    p.add_argument("which", choices=tuple(ABLATIONS))
     _add_common(p)
     p.add_argument("--teacher", help="teacher checkpoint (default <out-dir>/teacher.ckpt)")
     p.add_argument("--seeds", default="0", help="comma-separated run seeds (default: 0)")
@@ -92,12 +79,8 @@ def _config(args) -> ExperimentConfig:
     return load_config(args.config, overrides)
 
 
-def _teacher_path(args) -> str:
-    return args.teacher or os.path.join(args.out_dir, "teacher.ckpt")
-
-
 def _load_teacher_state(args):
-    path = _teacher_path(args)
+    path = args.teacher or os.path.join(args.out_dir, "teacher.ckpt")
     if not os.path.exists(path):
         raise CheckpointError(f"teacher checkpoint not found: {path} (run train-teacher first)")
     return load_checkpoint(path)
@@ -152,10 +135,7 @@ def cmd_distill(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _config(args)
     state = _load_teacher_state(args)
-    seeds = _seeds(args.seeds)
-    runner = {"attention": ablate_attention, "heads": ablate_heads, "aux": ablate_aux,
-              "lambda": ablate_lambda, "cascade": ablate_cascade}[args.which]
-    results = runner(cfg, state, args.out_dir, seeds=seeds)
+    results = sweep(cfg, state, args.out_dir, *ABLATIONS[args.which], _seeds(args.seeds))
     print(f"{args.which} ablation ({len(results)} runs):")
     for r in results:
         print(f"  {r.name:<24s} toy-AP@0.5 = {r.toy_ap:.4f}")
@@ -164,16 +144,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_export_attn(args) -> int:
     cfg = _config(args)
-    sys_ = build_system(cfg)
-    teacher_state = _load_teacher_state(args)
-    check_teacher_state(cfg, teacher_state)
-    load_group(sys_.groups["teacher"], strip_meta(teacher_state))
-    sys_.groups["teacher"].freeze()
-    student_state = load_checkpoint(args.student)
-    for gname in ("student", "decoder", "aux"):
-        sub = {k.removeprefix(f"{gname}."): v for k, v in student_state.items()
-               if k.startswith(f"{gname}.")}
-        load_group(sys_.groups[gname], sub)
+    sys_ = load_system(cfg, _load_teacher_state(args), load_checkpoint(args.student))
     scenes = heldout_scenes(cfg)
     if not 0 <= args.scene < len(scenes):
         raise ValueError(f"scene index {args.scene} out of range [0, {len(scenes)})")
@@ -182,7 +153,7 @@ def cmd_export_attn(args) -> int:
     cset = encode_set(scene.instances, sys_.espec, rng, include_scale=cfg.use_scale)
     queries = make_query(cset.vectors, sys_.f_q)
     flat = flatten_pyramid(sys_.teacher.backbone_forward(scene.image), cfg.pos_dim)
-    _, k = sys_.decoder.decode(flat, queries, source="teacher")
+    _, k = sys_.decoder.decode(flat, queries)
     os.makedirs(args.out_dir, exist_ok=True)
     prefix = os.path.join(args.out_dir,
                           f"attn_scene{args.scene}_inst{args.instance}_head{args.head}")

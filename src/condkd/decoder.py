@@ -26,8 +26,6 @@ class DecoderLayer:
                  rng: np.random.Generator, name: str = "dec0"):
         if dim % heads:
             raise ValueError(f"head count {heads} must divide feature width {dim}")
-        self.dim = dim
-        self.heads = heads
         self.head_dim = dim // heads
         self.f_k = [Linear(dim, self.head_dim, group, rng, f"{name}.h{j}.f_k") for j in range(heads)]
         self.f_v = [Linear(dim, self.head_dim, group, rng, f"{name}.h{j}.f_v") for j in range(heads)]
@@ -43,7 +41,6 @@ class Knowledge:
 
     masks: list[Tensor]
     values: list[Tensor]
-    source: str  # "teacher" or "student"
 
     @property
     def num_heads(self) -> int:
@@ -78,11 +75,10 @@ def attention_masks(layer: DecoderLayer, keys: list[Tensor], queries: Tensor) ->
     return out
 
 
-def decode_knowledge(layer: DecoderLayer, flat: FlatPyramid, queries: Tensor, source: str) -> Knowledge:
+def decode_knowledge(layer: DecoderLayer, flat: FlatPyramid, queries: Tensor) -> Knowledge:
     return Knowledge(
         masks=attention_masks(layer, compute_keys(layer, flat), queries),
         values=compute_values(layer, flat),
-        source=source,
     )
 
 
@@ -104,14 +100,12 @@ class ConditionalDecoder:
             raise ValueError("cascade depth must be >= 1")
         self.layers = [DecoderLayer(dim, heads, pos_width, group, rng, name=f"dec{i}")
                        for i in range(depth)]
-        self.dim = dim
-        self.heads = heads
 
-    def decode(self, flat: FlatPyramid, queries: Tensor, source: str = "teacher") -> tuple[Tensor, Knowledge]:
+    def decode(self, flat: FlatPyramid, queries: Tensor) -> tuple[Tensor, Knowledge]:
         q = queries
         k: Knowledge | None = None
         for layer in self.layers:
-            k = decode_knowledge(layer, flat, q, source)
+            k = decode_knowledge(layer, flat, q)
             q = aggregate(k, q, layer)
         assert k is not None
         return q, k

@@ -235,11 +235,6 @@ def _encode_rows(instances: list[Instance], centers: list[tuple[float, float]],
     return out
 
 
-def encode_conditions(instances: list[Instance], spec: EncoderSpec, rng: np.random.Generator) -> np.ndarray:
-    """Stack of condition vectors, [N x width]."""
-    return encode_set(instances, spec, rng).vectors
-
-
 def make_query(encoded: np.ndarray, f_q: Mlp3) -> Tensor:
     """q_i rows from the shared query MLP; gradient reaches f_q only."""
     return f_q(T.constant(encoded))

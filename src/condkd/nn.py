@@ -1,5 +1,5 @@
 """Parameterized building blocks: linear layers, small MLPs, fixed positional
-embeddings, one-hot encoding, and the two optimizers used by the trainers.
+embeddings, one-hot encoding, and the optimizer the trainers use.
 
 Every trainable tensor is registered in exactly one ParamGroup at construction
 so that gradient routing between detector, decoder, and auxiliary heads stays
@@ -86,41 +86,6 @@ def one_hot(c: int, num_categories: int) -> np.ndarray:
     v = np.zeros(num_categories)
     v[c] = 1.0
     return v
-
-
-class AdamW:
-    """Adam with decoupled weight decay; decay uses the pre-step parameter."""
-
-    def __init__(self, group: ParamGroup, lr: float, weight_decay: float = 0.0,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
-        self.group = group
-        self.lr = lr
-        self.weight_decay = weight_decay
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in group.named()}
-        self.v = {name: np.zeros_like(p.data) for name, p in group.named()}
-        self.skipped_missing_grad = 0
-
-    def step(self) -> None:
-        self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
-        for name, p in self.group.named():
-            if not p.requires_grad or p.grad is None:
-                self.skipped_missing_grad += 1
-                continue
-            g = p.grad
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data *= 1.0 - self.lr * self.weight_decay
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.grad[...] = 0.0
 
 
 class MomentumSGD:

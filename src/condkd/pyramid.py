@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -228,17 +228,6 @@ def flatten_pyramid(pyr: FeaturePyramid, pos_dim: int = 8) -> FlatPyramid:
         shapes.append((h, w))
     pos, index = _pyramid_layout(tuple(strides), tuple(shapes), pyr.image_size, pos_dim)
     return FlatPyramid(T.concat(mats, axis=0), pos, list(index), strides, shapes)
-
-
-def unflatten_pyramid(flat: FlatPyramid, feat_dim: int) -> list[tuple[int, np.ndarray]]:
-    """Invert flatten_pyramid on values: per-level [H_p, W_p, D] arrays."""
-    out = []
-    offset = 0
-    for stride, (h, w) in zip(flat.strides, flat.shapes):
-        block = flat.A.data[offset : offset + h * w]
-        out.append((stride, block.reshape(h, w, feat_dim)))
-        offset += h * w
-    return out
 
 
 def assign_cells(centers: np.ndarray, instances: list[Instance]) -> tuple[np.ndarray, np.ndarray]:

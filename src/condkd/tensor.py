@@ -124,9 +124,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __pow__(self, p):
-        return power(self, p)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -212,13 +209,6 @@ def div(a, b) -> Tensor:
         )
 
     return _from_op(out, (a, b), vjp)
-
-
-def power(a, p: float) -> Tensor:
-    a = as_tensor(a)
-    p = float(p)
-    out = a.data**p
-    return _from_op(out, (a,), lambda g: (g * p * a.data ** (p - 1.0),))
 
 
 def absolute(a) -> Tensor:

@@ -1,5 +1,5 @@
 """Training harness: teacher pretraining, conditional distillation, and the
-ablation runners, all fully deterministic from the experiment config.
+ablation sweeps, all fully deterministic from the experiment config.
 
 Every run draws its scenes from a per-seed stream (seed, 1, i) and evaluates
 on a held-out stream (seed, 2, i), so runs that share a seed consume
@@ -20,7 +20,7 @@ from .config import ATTENTION_VARIANTS, ExperimentConfig
 from .decoder import ConditionalDecoder, Knowledge
 from .evaluate import evaluate_toy_ap
 from .instances import EncoderSpec, build_conditions, compute_stats, encode_set, make_query
-from .losses import AuxHeads, LossBundle, aux_loss, distill_loss, total_loss
+from .losses import AuxHeads, aux_loss, distill_loss, total_loss
 from .nn import Mlp3, MomentumSGD
 from .pyramid import FlatPyramid, ToyDetector, det_loss, flatten_pyramid, inherit_parameters
 from .scenes import Scene, generate_scene
@@ -138,6 +138,9 @@ def train_teacher(cfg: ExperimentConfig, out_dir: str, run_name: str = "teacher"
 # -- distillation ------------------------------------------------------------
 
 
+TRAINED_GROUPS = ("student", "decoder", "aux")
+
+
 @dataclass
 class System:
     """Everything one distillation run needs, grouped for routing audits."""
@@ -152,6 +155,7 @@ class System:
 
 
 def build_system(cfg: ExperimentConfig) -> System:
+    """Fresh weights for every group; the teacher group is frozen."""
     groups = {name: ParamGroup(name) for name in ("teacher", "student", "decoder", "aux")}
     teacher = ToyDetector(cfg.teacher_config(), groups["teacher"],
                           np.random.default_rng((cfg.seed, 11)))
@@ -164,7 +168,29 @@ def build_system(cfg: ExperimentConfig) -> System:
     f_q = Mlp3(espec.width, cfg.feat_dim, cfg.feat_dim, groups["decoder"],
                np.random.default_rng((cfg.seed, 14)), "f_q")
     aux = AuxHeads(cfg.feat_dim, groups["aux"], np.random.default_rng((cfg.seed, 15)))
+    groups["teacher"].freeze()
     return System(groups, teacher, student, decoder, aux, f_q, espec)
+
+
+def load_system(cfg: ExperimentConfig, teacher_state: dict,
+                student_state: dict | None = None) -> System:
+    """build_system with the checked teacher checkpoint loaded, and, given a
+    state that system_state produced, the trained groups too."""
+    check_teacher_state(cfg, teacher_state)
+    sys = build_system(cfg)
+    load_group(sys.groups["teacher"], strip_meta(teacher_state))
+    if student_state is not None:
+        for name in TRAINED_GROUPS:
+            prefix = f"{name}."
+            load_group(sys.groups[name], {k.removeprefix(prefix): v for k, v in
+                                          student_state.items() if k.startswith(prefix)})
+    return sys
+
+
+def system_state(sys: System) -> dict[str, np.ndarray]:
+    """The trained groups' weights, each name prefixed with its group's."""
+    return {f"{name}.{k}": v for name in TRAINED_GROUPS
+            for k, v in group_state(sys.groups[name]).items()}
 
 
 def _cell_misses_every_box(cx, cy, boxes) -> bool:
@@ -217,7 +243,7 @@ def substitute_masks(k: Knowledge, variant: str, flat: FlatPyramid, instances,
         return k
     row = baseline_mask_row(variant, flat, instances, image_size)
     fixed = T.constant(np.tile(row, (n_rows, 1)))
-    return Knowledge(masks=[fixed] * k.num_heads, values=k.values, source=k.source)
+    return Knowledge(masks=[fixed] * k.num_heads, values=k.values)
 
 
 def scene_losses(cfg: ExperimentConfig, sys: System, scene: Scene, stats,
@@ -233,7 +259,7 @@ def scene_losses(cfg: ExperimentConfig, sys: System, scene: Scene, stats,
     cset = encode_set(conds, sys.espec, cond_rng, include_scale=cfg.use_scale)
     queries = make_query(cset.vectors, sys.f_q)
     t_flat = flatten_pyramid(sys.teacher.backbone_forward(scene.image), cfg.pos_dim)
-    g, knowledge = sys.decoder.decode(t_flat, queries, source="teacher")
+    g, knowledge = sys.decoder.decode(t_flat, queries)
     idf, loc = aux_loss(g, cset, sys.aux, use_idf=cfg.use_idf, use_loc=cfg.use_loc)
     s_pyr = sys.student.backbone_forward(scene.image)
     det = det_loss(sys.student.det_head_forward(s_pyr), scene.instances, sys.student.cfg)
@@ -260,11 +286,8 @@ def distill_student(cfg: ExperimentConfig, teacher_state: dict, out_dir: str,
     """The joint loop: every iteration trains the decoder/aux heads with the
     auxiliary losses and the student with detection (+ distillation after
     warm-up, when lam is nonzero)."""
-    check_teacher_state(cfg, teacher_state)
+    sys = load_system(cfg, teacher_state)
     metrics = MetricsWriter(out_dir)
-    sys = build_system(cfg)
-    load_group(sys.groups["teacher"], strip_meta(teacher_state))
-    sys.groups["teacher"].freeze()
     if cfg.inherit:
         inherit_parameters(sys.student, sys.teacher)
     opt_student = MomentumSGD(sys.groups["student"], cfg.lr_student, cfg.momentum,
@@ -276,6 +299,10 @@ def distill_student(cfg: ExperimentConfig, teacher_state: dict, out_dir: str,
     stats = dataset_stats(cfg)
     cond_rng = np.random.default_rng((cfg.seed, 20))
     final = {"loss_det": 0.0, "loss_aux_idf": 0.0, "loss_aux_reg": 0.0, "loss_distill": 0.0}
+
+    def log(it: int, ap=None) -> None:
+        metrics.row(run_name, it, *final.values(), ap)
+
     for it in range(cfg.student_iters):
         active = cfg.lam != 0.0 and it >= cfg.warmup_iters
         parts = [scene_losses(cfg, sys, s, stats, cond_rng, active)
@@ -291,94 +318,49 @@ def distill_student(cfg: ExperimentConfig, teacher_state: dict, out_dir: str,
             raise RuntimeError(
                 f"distillation diverged: loss {bundle.total.item()} at iteration {it}, "
                 f"seed {cfg.seed}")
-        for name in ("student", "decoder", "aux"):
+        for name in TRAINED_GROUPS:
             sys.groups[name].zero_grad()
         T.backward(bundle.total)
         opt_student.step()
         opt_decoder.step()
         opt_aux.step()
         if it % LOG_EVERY == 0:
-            metrics.row(run_name, it, *[final[k] for k in
-                                        ("loss_det", "loss_aux_idf", "loss_aux_reg", "loss_distill")])
+            log(it)
         if cfg.eval_every and it and it % cfg.eval_every == 0:
-            ap_now = evaluate_toy_ap(sys.student, heldout_scenes(cfg))
-            metrics.row(run_name, it, *[final[k] for k in
-                                        ("loss_det", "loss_aux_idf", "loss_aux_reg", "loss_distill")],
-                        ap_now)
+            log(it, evaluate_toy_ap(sys.student, heldout_scenes(cfg)))
     ap = evaluate_toy_ap(sys.student, heldout_scenes(cfg))
-    metrics.row(run_name, cfg.student_iters,
-                *[final[k] for k in ("loss_det", "loss_aux_idf", "loss_aux_reg", "loss_distill")],
-                ap)
+    log(cfg.student_iters, ap)
     path = os.path.join(out_dir, f"{run_name}.ckpt")
-    save_checkpoint(path, {f"student.{k}": v for k, v in group_state(sys.groups["student"]).items()}
-                    | {f"decoder.{k}": v for k, v in group_state(sys.groups["decoder"]).items()}
-                    | {f"aux.{k}": v for k, v in group_state(sys.groups["aux"]).items()})
+    save_checkpoint(path, system_state(sys))
     return RunResult(run_name, ap, final, path)
 
 
 # -- ablations ---------------------------------------------------------------
 
+# `condkd ablate` choice -> (run-name prefix, (label, config overrides) per variant)
+ABLATIONS = {
+    "attention": ("attn", tuple((v, {"attention_variant": v}) for v in ATTENTION_VARIANTS)),
+    "heads": ("heads", tuple((str(m), {"heads": m}) for m in (1, 4, 8))),
+    "aux": ("aux", (
+        ("idf", dict(use_idf=True, use_loc=False, use_scale=False)),
+        ("loc", dict(use_idf=False, use_loc=True, use_scale=False)),
+        ("loc_scale", dict(use_idf=False, use_loc=True, use_scale=True)),
+        ("full", dict(use_idf=True, use_loc=True, use_scale=True)),
+    )),
+    "lambda": ("lambda", tuple((_fmt(lam), {"lam": lam}) for lam in (0.0, 2.0, 6.0, 12.0))),
+    "cascade": ("cascade", tuple((str(d), {"depth": d}) for d in (1, 2, 4))),
+}
+
+
+def sweep(cfg: ExperimentConfig, teacher_state: dict, out_dir: str, prefix: str,
+          variants, seeds) -> list[RunResult]:
+    """One distillation per (variant, seed), variant-major, named
+    `{prefix}-{label}-s{seed}`; runs that share a seed share their data."""
+    return [distill_student(replace(cfg, seed=seed, **overrides), teacher_state, out_dir,
+                            run_name=f"{prefix}-{label}-s{seed}")
+            for label, overrides in variants for seed in seeds]
+
 
 def ablate_attention(cfg: ExperimentConfig, teacher_state: dict, out_dir: str,
-                     seeds=(0, 1, 2, 3, 4),
-                     variants=ATTENTION_VARIANTS) -> list[RunResult]:
-    """One distillation per (variant, seed) with shared per-seed data streams."""
-    out = []
-    for variant in variants:
-        for seed in seeds:
-            rcfg = replace(cfg, attention_variant=variant, seed=seed)
-            out.append(distill_student(rcfg, teacher_state, out_dir,
-                                       run_name=f"attn-{variant}-s{seed}"))
-    return out
-
-
-def ablate_heads(cfg: ExperimentConfig, teacher_state: dict, out_dir: str,
-                 head_counts=(1, 4, 8), seeds=(0,)) -> list[RunResult]:
-    out = []
-    for m in head_counts:
-        for seed in seeds:
-            rcfg = replace(cfg, heads=m, seed=seed)
-            out.append(distill_student(rcfg, teacher_state, out_dir,
-                                       run_name=f"heads-{m}-s{seed}"))
-    return out
-
-
-AUX_VARIANTS = (
-    ("idf", dict(use_idf=True, use_loc=False, use_scale=False)),
-    ("loc", dict(use_idf=False, use_loc=True, use_scale=False)),
-    ("loc_scale", dict(use_idf=False, use_loc=True, use_scale=True)),
-    ("full", dict(use_idf=True, use_loc=True, use_scale=True)),
-)
-
-
-def ablate_aux(cfg: ExperimentConfig, teacher_state: dict, out_dir: str,
-               seeds=(0,)) -> list[RunResult]:
-    out = []
-    for name, flags in AUX_VARIANTS:
-        for seed in seeds:
-            rcfg = replace(cfg, seed=seed, **flags)
-            out.append(distill_student(rcfg, teacher_state, out_dir,
-                                       run_name=f"aux-{name}-s{seed}"))
-    return out
-
-
-def ablate_lambda(cfg: ExperimentConfig, teacher_state: dict, out_dir: str,
-                  lams=(0.0, 2.0, 6.0, 12.0), seeds=(0,)) -> list[RunResult]:
-    out = []
-    for lam in lams:
-        for seed in seeds:
-            rcfg = replace(cfg, lam=lam, seed=seed)
-            out.append(distill_student(rcfg, teacher_state, out_dir,
-                                       run_name=f"lambda-{_fmt(lam)}-s{seed}"))
-    return out
-
-
-def ablate_cascade(cfg: ExperimentConfig, teacher_state: dict, out_dir: str,
-                   depths=(1, 2, 4), seeds=(0,)) -> list[RunResult]:
-    out = []
-    for depth in depths:
-        for seed in seeds:
-            rcfg = replace(cfg, depth=depth, seed=seed)
-            out.append(distill_student(rcfg, teacher_state, out_dir,
-                                       run_name=f"cascade-{depth}-s{seed}"))
-    return out
+                     seeds=(0, 1, 2, 3, 4)) -> list[RunResult]:
+    return sweep(cfg, teacher_state, out_dir, *ABLATIONS["attention"], seeds)

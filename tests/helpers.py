@@ -81,7 +81,7 @@ def forward_bundle(sys: MiniSystem, img: Tensor, reals, cond_rng, lam=8.0,
     t_flat = flatten_pyramid(sys.teacher.backbone_forward(img), sys.cfg.pos_dim)
     s_pyr = sys.student.backbone_forward(img)
     s_flat = flatten_pyramid(s_pyr, sys.cfg.pos_dim)
-    g, knowledge = sys.decoder.decode(t_flat, queries, source="teacher")
+    g, knowledge = sys.decoder.decode(t_flat, queries)
     idf, loc = aux_loss(g, cset, sys.aux)
     det = det_loss(sys.student.det_head_forward(s_pyr), reals, sys.cfg)
     student_v = sys.decoder.student_values(s_flat, detach_weights=detach_fv)

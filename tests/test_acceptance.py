@@ -32,7 +32,7 @@ import pytest
 from condkd import tensor as T
 from condkd import train as tr
 from condkd import verify
-from condkd.checkpoint import load_checkpoint, load_group, save_checkpoint
+from condkd.checkpoint import load_checkpoint, save_checkpoint
 from condkd.config import ATTENTION_VARIANTS, ExperimentConfig
 from condkd.heatmap import export_attention, read_pgm
 from condkd.instances import (
@@ -157,7 +157,7 @@ def _build_cache(cfg: ExperimentConfig, root: Path) -> dict:
     attn_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    for result in tr.ablate_heads(cfg, state, str(root), seeds=(0,)):
+    for result in tr.sweep(cfg, state, str(root), *tr.ABLATIONS["heads"], (0,)):
         record(result)
     heads_seconds = time.perf_counter() - t0
 
@@ -310,7 +310,7 @@ def test_c03_attention_masks_are_probability_rows():
         cset = encode_set(scene.instances, sys_.espec, np.random.default_rng((i, 99)))
         queries = make_query(cset.vectors, sys_.f_q)
         flat = flatten_pyramid(sys_.teacher.backbone_forward(scene.image), cfg.pos_dim)
-        _, k = sys_.decoder.decode(flat, queries, source="teacher")
+        _, k = sys_.decoder.decode(flat, queries)
         for m in k.masks:
             worst_dev = max(worst_dev, float(np.abs(m.data.sum(axis=-1) - 1.0).max()))
             worst_neg = min(worst_neg, float(m.data.min()))
@@ -327,7 +327,7 @@ def test_c04_loss_identities():
     cset = encode_set(scene.instances, sys_.espec, np.random.default_rng(5))
     queries = make_query(cset.vectors, sys_.f_q)
     flat = flatten_pyramid(sys_.teacher.backbone_forward(scene.image), cfg.pos_dim)
-    _, k = sys_.decoder.decode(flat, queries, source="teacher")
+    _, k = sys_.decoder.decode(flat, queries)
 
     # equal features: student values are the teacher values
     twins = [T.constant(v.data.copy()) for v in k.values]
@@ -493,20 +493,13 @@ def test_c10_checkpoint_and_heatmap_round_trips(cache, tmp_path):
     ckpt_ok &= all(np.array_equal(state[k], reloaded[k]) for k in state)
 
     cfg = cache.cfg
-    sys_ = tr.build_system(cfg)
-    tr.check_teacher_state(cfg, state)
-    load_group(sys_.groups["teacher"], tr.strip_meta(state))
-    student_state = load_checkpoint(str(cache.root / "attn-icd-s0.ckpt"))
-    for gname in ("student", "decoder", "aux"):
-        sub = {k.removeprefix(f"{gname}."): v for k, v in student_state.items()
-               if k.startswith(f"{gname}.")}
-        load_group(sys_.groups[gname], sub)
+    sys_ = tr.load_system(cfg, state, load_checkpoint(str(cache.root / "attn-icd-s0.ckpt")))
     scene = tr.heldout_scenes(cfg)[0]
     cset = encode_set(scene.instances, sys_.espec, np.random.default_rng((cfg.seed, 30)),
                       include_scale=cfg.use_scale)
     queries = make_query(cset.vectors, sys_.f_q)
     flat = flatten_pyramid(sys_.teacher.backbone_forward(scene.image), cfg.pos_dim)
-    _, k = sys_.decoder.decode(flat, queries, source="teacher")
+    _, k = sys_.decoder.decode(flat, queries)
     paths = export_attention(k, flat, 0, 0, str(tmp_path / "attn"))
     row = k.masks[0].data[0]
     heat_ok, offset = True, 0

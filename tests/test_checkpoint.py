@@ -1,7 +1,13 @@
 """Checkpoint format: bit-exact round trips and corruption diagnostics."""
 
+import os
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from condkd.checkpoint import (
     CheckpointError,
@@ -86,6 +92,95 @@ class TestCorruption:
             f.write(b"xx")
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(path)
+
+
+    @staticmethod
+    def two_tensor_blob(tmp_path):
+        """A checkpoint holding "w" then "v", and the offset of "v"'s name."""
+        path = str(tmp_path / "two.ckpt")
+        save_checkpoint(path, {"w": np.arange(3.0), "v": np.ones(2)})
+        second_name = 12 + (2 + 1 + 1 + 4 + 3 * 8) + 2
+        return path, bytearray(open(path, "rb").read()), second_name
+
+    def test_duplicate_name_reports_offset(self, tmp_path):
+        path, blob, off = self.two_tensor_blob(tmp_path)
+        assert blob[off:off + 1] == b"v"
+        blob[off] = ord("w")
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(CheckpointError, match=f"duplicate tensor name 'w' at offset {off}"):
+            load_checkpoint(path)
+
+    def test_non_utf8_name_reports_offset(self, tmp_path):
+        path, blob, off = self.two_tensor_blob(tmp_path)
+        blob[off] = 0xFF
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(CheckpointError, match=f"not UTF-8 at offset {off}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_reports_offset(self, tmp_path, value):
+        path = str(tmp_path / "nan.ckpt")
+        save_checkpoint(path, {"w": np.array([0.0, 1.0, value])})
+        off = 12 + 2 + 1 + 1 + 4 + 2 * 8
+        with pytest.raises(CheckpointError, match=f"non-finite value in w at offset {off}"):
+            load_checkpoint(path)
+
+    def test_failed_save_leaves_the_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "keep.ckpt")
+        save_checkpoint(path, {"w": np.zeros(2)})
+        before = open(path, "rb").read()
+
+        def broken_replace(src, dst):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(os, "replace", broken_replace)
+        with pytest.raises(OSError, match="disk gone"):
+            save_checkpoint(path, {"w": np.ones(5)})
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["keep.ckpt"]
+
+
+names = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+finite_arrays = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, max_side=4),
+                           elements=st.floats(allow_nan=False, allow_infinity=False))
+states = st.dictionaries(names, finite_arrays, max_size=4)
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(state=states)
+    def test_round_trip_is_exact_and_resave_identical(self, tmp_path, state):
+        path = str(tmp_path / "f.ckpt")
+        save_checkpoint(path, state)
+        blob = open(path, "rb").read()
+        loaded = load_checkpoint(path)
+        assert list(loaded) == list(state)
+        for name, arr in state.items():
+            assert loaded[name].shape == arr.shape
+            assert loaded[name].tobytes() == np.ascontiguousarray(arr).tobytes()
+        save_checkpoint(path, loaded)
+        assert open(path, "rb").read() == blob
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(state=states, data=st.data())
+    def test_mutated_bytes_load_or_raise_checkpoint_error(self, tmp_path, state, data):
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, state)
+        blob = bytearray(open(path, "rb").read())
+        cut = data.draw(st.integers(0, len(blob)), label="keep")
+        edits = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                             st.integers(0, 255)), max_size=3), label="edits")
+        for pos, byte in edits:
+            blob[pos] = byte
+        open(path, "wb").write(bytes(blob[:cut]))
+        try:
+            loaded = load_checkpoint(path)
+        except CheckpointError:
+            return
+        assert all(np.all(np.isfinite(v)) for v in loaded.values())
+        assert len(set(loaded)) == len(loaded)
 
 
 class TestGroupBridge:

@@ -200,12 +200,11 @@ class TestMasks:
 
 
 class TestDecodeKnowledge:
-    def test_shapes_and_source_tag(self):
+    def test_shapes(self):
         sys = build_system(seed=10)
         flat = teacher_flat(sys)
         queries = T.constant(np.random.default_rng(5).normal(size=(4, 8)))
-        k = decode_knowledge(sys.decoder.layers[0], flat, queries, "teacher")
-        assert k.source == "teacher"
+        k = decode_knowledge(sys.decoder.layers[0], flat, queries)
         assert k.num_heads == 2
         assert all(m.shape == (4, 5) for m in k.masks)
         assert all(v.shape == (5, 4) for v in k.values)
@@ -214,8 +213,8 @@ class TestDecodeKnowledge:
         sys = build_system(seed=11)
         flat = teacher_flat(sys)
         queries = T.constant(np.random.default_rng(6).normal(size=(4, 8)))
-        k1 = decode_knowledge(sys.decoder.layers[0], flat, queries, "teacher")
-        k2 = decode_knowledge(sys.decoder.layers[0], flat, queries, "teacher")
+        k1 = decode_knowledge(sys.decoder.layers[0], flat, queries)
+        k2 = decode_knowledge(sys.decoder.layers[0], flat, queries)
         for a, b in zip(k1.masks + k1.values, k2.masks + k2.values):
             np.testing.assert_array_equal(a.data, b.data)
 
@@ -233,7 +232,7 @@ class TestAggregate:
         onehot[0, 3] = 1.0
         onehot[1, 1] = 1.0
         k = Knowledge(masks=[T.constant(onehot), T.constant(onehot)],
-                      values=[T.constant(v0), T.constant(v1)], source="teacher")
+                      values=[T.constant(v0), T.constant(v1)])
         g = aggregate(k, T.constant(np.zeros((2, 8))), layer)
         want = manual_layernorm(np.concatenate(
             [np.stack([v0[3], v0[1]]), np.stack([v1[3], v1[1]])], axis=-1))
@@ -247,7 +246,7 @@ class TestAggregate:
             zero_linear(lin)
         q = np.random.default_rng(8).normal(size=(3, 8))
         k = Knowledge(masks=[T.constant(np.full((3, 5), 0.2))] * 2,
-                      values=[T.constant(np.ones((5, 4)))] * 2, source="teacher")
+                      values=[T.constant(np.ones((5, 4)))] * 2)
         g = aggregate(k, T.constant(q), layer)
         np.testing.assert_allclose(g.data, manual_layernorm(q), rtol=0, atol=1e-12)
 
@@ -289,10 +288,10 @@ class TestHeadIndependence:
         layer = sys.decoder.layers[0]
         flat = teacher_flat(sys)
         queries = T.constant(np.random.default_rng(11).normal(size=(3, 8)))
-        before = decode_knowledge(layer, flat, queries, "teacher")
+        before = decode_knowledge(layer, flat, queries)
         for lin in (layer.f_k[0], layer.f_v[0], layer.f_q[0]):
             lin.weight.data[...] *= -3.0
-        after = decode_knowledge(layer, flat, queries, "teacher")
+        after = decode_knowledge(layer, flat, queries)
         assert np.any(before.masks[0].data != after.masks[0].data)
         assert np.any(before.values[0].data != after.values[0].data)
         np.testing.assert_array_equal(before.masks[1].data, after.masks[1].data)
@@ -308,7 +307,7 @@ class TestCascade:
         queries = T.constant(np.random.default_rng(12).normal(size=(3, 8)))
         g, k_final = sys.decoder.decode(flat, queries)
         assert g.shape == (3, 8)
-        k_first = decode_knowledge(sys.decoder.layers[0], flat, queries, "teacher")
+        k_first = decode_knowledge(sys.decoder.layers[0], flat, queries)
         assert np.any(k_final.masks[0].data != k_first.masks[0].data)
 
     def test_bad_construction_is_rejected(self):

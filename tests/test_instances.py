@@ -12,10 +12,11 @@ from condkd.instances import (
     Instance,
     build_conditions,
     compute_stats,
-    encode_conditions,
     encode_instance,
+    encode_set,
     jitter_center,
     make_instance,
+    make_query,
     sample_fakes,
     scale_indicator,
 )
@@ -134,9 +135,7 @@ def test_make_query_zero_weights_gives_bias_rows():
         layer.weight.data[...] = 0.0
     f_q.l3.bias.data[...] = np.arange(6.0)
     insts = [Instance(0, 0.2, 0.2, 0.1, 0.1, 6.4, 6.4), Instance(1, 0.8, 0.8, 0.2, 0.2, 12.8, 12.8)]
-    enc = encode_conditions(insts, spec, np.random.default_rng(0))
-    from condkd.instances import make_query
-
+    enc = encode_set(insts, spec, np.random.default_rng(0)).vectors
     q = make_query(enc, f_q)
     assert q.shape == (2, 6)
     assert np.array_equal(q.data, np.tile(np.arange(6.0), (2, 1)))
@@ -148,10 +147,8 @@ def test_query_rows_independent():
     f_q = Mlp3(spec.width, 8, 6, g, np.random.default_rng(4), "f_q")
     i1 = Instance(0, 0.2, 0.2, 0.1, 0.1, 6.4, 6.4)
     i2 = Instance(1, 0.8, 0.8, 0.2, 0.2, 12.8, 12.8)
-    from condkd.instances import make_query
-
-    both = make_query(encode_conditions([i1, i2], spec, np.random.default_rng(0)), f_q)
-    solo = make_query(encode_conditions([i1], spec, np.random.default_rng(0)), f_q)
+    both = make_query(encode_set([i1, i2], spec, np.random.default_rng(0)).vectors, f_q)
+    solo = make_query(encode_set([i1], spec, np.random.default_rng(0)).vectors, f_q)
     assert np.allclose(both.data[0], solo.data[0])
 
 

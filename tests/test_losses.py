@@ -138,7 +138,7 @@ class TestAuxLoss:
 
 def hand_knowledge(masks, values):
     return Knowledge(masks=[T.constant(m) for m in masks],
-                     values=[T.constant(v) for v in values], source="teacher")
+                     values=[T.constant(v) for v in values])
 
 
 class TestDistillLoss:
@@ -149,7 +149,7 @@ class TestDistillLoss:
         flat = flatten_pyramid(sys.teacher.backbone_forward(img), sys.cfg.pos_dim)
         layer = sys.decoder.layers[-1]
         k = Knowledge(masks=[T.constant(np.full((2, 5), 0.2))] * 2,
-                      values=compute_values(layer, flat), source="teacher")
+                      values=compute_values(layer, flat))
         sv = sys.decoder.student_values(flat)  # same features, same projections
         loss = distill_loss(k, sv, np.array([1.0, 1.0]))
         assert loss.item() == 0.0

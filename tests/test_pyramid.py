@@ -16,7 +16,6 @@ from condkd.pyramid import (
     det_loss,
     flatten_pyramid,
     inherit_parameters,
-    unflatten_pyramid,
 )
 from condkd.tensor import ParamGroup, Tensor, backward, finite_diff_check
 
@@ -82,10 +81,13 @@ def test_flatten_shapes_and_roundtrip():
     assert flat.A.shape == (80, 32)  # 64 + 16 rows
     assert flat.pos.shape == (80, DESK.pos_dim + 2)
     assert len(flat.index) == 80 and len(set(flat.index)) == 80
-    rebuilt = unflatten_pyramid(flat, DESK.feat_dim)
-    for (s0, f0), (s1, f1) in zip(pyr.levels, rebuilt):
-        assert s0 == s1
-        assert np.array_equal(f0.data, f1)
+    assert flat.strides == [s for s, _ in pyr.levels]
+    offset = 0
+    for (_, feat), (h, w) in zip(pyr.levels, flat.shapes):
+        block = flat.A.data[offset:offset + h * w]
+        assert np.array_equal(block.reshape(h, w, DESK.feat_dim), feat.data)
+        offset += h * w
+    assert offset == flat.num_rows
 
 
 def test_flatten_row_order_is_level_then_row_major():

@@ -1,5 +1,5 @@
 """Training harness: teacher loop, distillation loop, baseline masks,
-ablation runners, and run-level determinism."""
+ablation sweeps, and run-level determinism."""
 
 import os
 from dataclasses import replace
@@ -231,7 +231,7 @@ class TestSubstituteMasks:
         rng = np.random.default_rng(7)
         masks = [T.constant(rng.random((rows, cols))) for _ in range(heads)]
         values = [T.constant(rng.normal(size=(cols, 4))) for _ in range(heads)]
-        return Knowledge(masks=masks, values=values, source="teacher")
+        return Knowledge(masks=masks, values=values)
 
     def test_icd_returns_same_object(self, mini_flat):
         cfg, scene, flat = mini_flat
@@ -289,34 +289,48 @@ def quick():
 
 class TestAblationRunners:
     def test_attention_runner_names_and_rows(self, quick, mini_teacher, tmp_path):
-        results = tr.ablate_attention(quick, mini_teacher, str(tmp_path),
-                                      seeds=(0,), variants=("icd", "none"))
-        assert [r.name for r in results] == ["attn-icd-s0", "attn-none-s0"]
+        results = tr.ablate_attention(quick, mini_teacher, str(tmp_path), seeds=(0,))
+        assert [r.name for r in results] == [
+            "attn-icd-s0", "attn-none-s0", "attn-foreground-s0", "attn-fine_grained-s0",
+            "attn-activation-s0"]
         body = "\n".join(read_csv(str(tmp_path)))
-        assert "attn-icd-s0" in body and "attn-none-s0" in body
         for r in results:
+            assert r.name in body
             assert 0.0 <= r.toy_ap <= 1.0
             assert os.path.exists(r.checkpoint)
 
     def test_heads_runner_names(self, quick, mini_teacher, tmp_path):
-        results = tr.ablate_heads(quick, mini_teacher, str(tmp_path),
-                                  head_counts=(1, 2), seeds=(0,))
-        assert [r.name for r in results] == ["heads-1-s0", "heads-2-s0"]
+        results = tr.sweep(quick, mini_teacher, str(tmp_path), *tr.ABLATIONS["heads"], (0,))
+        assert [r.name for r in results] == ["heads-1-s0", "heads-4-s0", "heads-8-s0"]
+        # the override reaches the run: one value projection per head
+        state = load_checkpoint(results[-1].checkpoint)
+        assert sum(k.startswith("decoder.dec0.") and k.endswith(".f_v.w")
+                   for k in state) == 8
 
     def test_aux_runner_covers_subtask_grid(self, quick, mini_teacher, tmp_path):
-        results = tr.ablate_aux(quick, mini_teacher, str(tmp_path), seeds=(1,))
+        results = tr.sweep(quick, mini_teacher, str(tmp_path), *tr.ABLATIONS["aux"], (1,))
         assert [r.name for r in results] == [
             "aux-idf-s1", "aux-loc-s1", "aux-loc_scale-s1", "aux-full-s1"]
 
     def test_lambda_runner_names_hold_exact_values(self, quick, mini_teacher, tmp_path):
-        results = tr.ablate_lambda(quick, mini_teacher, str(tmp_path),
-                                   lams=(0.0, 2.5), seeds=(0,))
-        assert [r.name for r in results] == ["lambda-0.0-s0", "lambda-2.5-s0"]
+        results = tr.sweep(quick, mini_teacher, str(tmp_path), *tr.ABLATIONS["lambda"], (0,))
+        assert [r.name for r in results] == [
+            "lambda-0.0-s0", "lambda-2.0-s0", "lambda-6.0-s0", "lambda-12.0-s0"]
+        assert results[0].final["loss_distill"] == 0.0  # lam 0 never distills
 
     def test_cascade_runner_depths(self, quick, mini_teacher, tmp_path):
-        results = tr.ablate_cascade(quick, mini_teacher, str(tmp_path),
-                                    depths=(1, 2), seeds=(0,))
-        assert [r.name for r in results] == ["cascade-1-s0", "cascade-2-s0"]
+        results = tr.sweep(quick, mini_teacher, str(tmp_path), *tr.ABLATIONS["cascade"], (0,))
+        assert [r.name for r in results] == ["cascade-1-s0", "cascade-2-s0", "cascade-4-s0"]
+        assert any(k.startswith("decoder.dec3.") for k in load_checkpoint(results[-1].checkpoint))
+
+    def test_sweep_is_variant_major_and_matches_single_runs(self, quick, mini_teacher, tmp_path):
+        variants = [("a", {"lam": 0.0}), ("b", {"heads": 1})]
+        results = tr.sweep(quick, mini_teacher, str(tmp_path / "sweep"), "x", variants, (0, 1))
+        assert [r.name for r in results] == ["x-a-s0", "x-a-s1", "x-b-s0", "x-b-s1"]
+        single = tr.distill_student(replace(quick, heads=1, seed=1), mini_teacher,
+                                    str(tmp_path / "single"), "x-b-s1")
+        with open(results[-1].checkpoint, "rb") as fa, open(single.checkpoint, "rb") as fb:
+            assert fa.read() == fb.read()
 
     def test_eval_every_emits_intermediate_ap(self, quick, mini_teacher, tmp_path):
         cfg = replace(quick, student_iters=4, eval_every=3)
