@@ -5,8 +5,8 @@ Layout: magic "ICDC", version u32, tensor count u32, then per tensor a u16
 name length, the UTF-8 name, a u8 rank, u32 dims, and the row-major float64
 payload. All integers and floats little-endian. Loads are bit-exact, and a
 load rejects duplicate names, names that are not UTF-8 and non-finite
-payloads. A save writes a temporary file beside the target and renames it
-over the target, so an interrupted save never leaves a torn checkpoint.
+payloads; a save rejects non-finite arrays, then writes a temporary file and
+renames it over the target, so an interrupted save never tears a checkpoint.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray]) -> None:
     parts = [MAGIC, struct.pack("<II", VERSION, len(tensors))]
     for name, arr in tensors.items():
         a = np.asarray(arr, dtype="<f8")  # tobytes() below emits C order
+        if not np.all(np.isfinite(a)):
+            raise CheckpointError(f"non-finite value in {name}: not saved")
         enc = name.encode("utf-8")
         if len(enc) > 0xFFFF:
             raise ValueError(f"tensor name too long: {name[:32]}...")

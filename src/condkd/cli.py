@@ -17,10 +17,10 @@ import numpy as np
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import ExperimentConfig, load_config
 from .heatmap import export_attention, write_ppm
-from .instances import compute_stats, encode_set, make_query
-from .pyramid import flatten_pyramid
+from .instances import compute_stats
 from .scenes import generate_dataset
-from .train import ABLATIONS, distill_student, heldout_scenes, load_system, sweep, train_teacher
+from .train import (ABLATIONS, decode_conditions, distill_student, heldout_scenes, load_system,
+                    sweep, train_teacher)
 from . import verify
 
 logger = logging.getLogger("condkd")
@@ -149,11 +149,8 @@ def cmd_export_attn(args) -> int:
     if not 0 <= args.scene < len(scenes):
         raise ValueError(f"scene index {args.scene} out of range [0, {len(scenes)})")
     scene = scenes[args.scene]
-    rng = np.random.default_rng((cfg.seed, 30))
-    cset = encode_set(scene.instances, sys_.espec, rng, include_scale=cfg.use_scale)
-    queries = make_query(cset.vectors, sys_.f_q)
-    flat = flatten_pyramid(sys_.teacher.backbone_forward(scene.image), cfg.pos_dim)
-    _, k = sys_.decoder.decode(flat, queries)
+    _, flat, _, k = decode_conditions(cfg, sys_, scene.image, scene.instances,
+                                      np.random.default_rng((cfg.seed, 30)))
     os.makedirs(args.out_dir, exist_ok=True)
     prefix = os.path.join(args.out_dir,
                           f"attn_scene{args.scene}_inst{args.instance}_head{args.head}")

@@ -72,7 +72,7 @@ def _batch(cfg: ExperimentConfig, it: int) -> list[Scene]:
     return [train_scene(cfg, it * cfg.batch_size + j) for j in range(cfg.batch_size)]
 
 
-def _mean(parts: list[Tensor]) -> Tensor:
+def _mean(parts) -> Tensor:
     acc = parts[0]
     for p in parts[1:]:
         acc = T.add(acc, p)
@@ -193,10 +193,6 @@ def system_state(sys: System) -> dict[str, np.ndarray]:
             for k, v in group_state(sys.groups[name]).items()}
 
 
-def _cell_misses_every_box(cx, cy, boxes) -> bool:
-    return all(not (x1 < cx < x2 and y1 < cy < y2) for x1, y1, x2, y2 in boxes)
-
-
 def baseline_mask_row(variant: str, flat: FlatPyramid, instances, image_size: int) -> np.ndarray:
     """One shared [L] weight row for the attention-free distillation variants.
 
@@ -217,7 +213,7 @@ def baseline_mask_row(variant: str, flat: FlatPyramid, instances, image_size: in
         for r, (lvl, y, x) in enumerate(flat.index):
             s = flat.strides[lvl] / image_size
             cx, cy = (x + 0.5) * s, (y + 0.5) * s
-            if not _cell_misses_every_box(cx, cy, boxes):
+            if any(x1 < cx < x2 and y1 < cy < y2 for x1, y1, x2, y2 in boxes):
                 row[r] = 1.0
         return row / row.sum() if row.sum() > 0 else np.full(n, 1.0 / n)
     if variant == "fine_grained":
@@ -246,6 +242,17 @@ def substitute_masks(k: Knowledge, variant: str, flat: FlatPyramid, instances,
     return Knowledge(masks=[fixed] * k.num_heads, values=k.values)
 
 
+def decode_conditions(cfg: ExperimentConfig, sys: System, image: Tensor, conds,
+                      rng: np.random.Generator):
+    """Each condition as a query against the teacher's pyramid of `image`;
+    returns the encoded conditions, that flat pyramid and the decoder output."""
+    cset = encode_set(conds, sys.espec, rng, include_scale=cfg.use_scale)
+    queries = make_query(cset.vectors, sys.f_q)
+    t_flat = flatten_pyramid(sys.teacher.backbone_forward(image), cfg.pos_dim)
+    g, knowledge = sys.decoder.decode(t_flat, queries)
+    return cset, t_flat, g, knowledge
+
+
 def scene_losses(cfg: ExperimentConfig, sys: System, scene: Scene, stats,
                  cond_rng: np.random.Generator, distill_active: bool,
                  distill_detach: bool = True):
@@ -256,10 +263,7 @@ def scene_losses(cfg: ExperimentConfig, sys: System, scene: Scene, stats,
     tools use it, to expose the full graph to finite differences and to the
     routing mutation check."""
     conds = build_conditions(scene.instances, stats, cfg.fake_ratio, cond_rng)
-    cset = encode_set(conds, sys.espec, cond_rng, include_scale=cfg.use_scale)
-    queries = make_query(cset.vectors, sys.f_q)
-    t_flat = flatten_pyramid(sys.teacher.backbone_forward(scene.image), cfg.pos_dim)
-    g, knowledge = sys.decoder.decode(t_flat, queries)
+    cset, t_flat, g, knowledge = decode_conditions(cfg, sys, scene.image, conds, cond_rng)
     idf, loc = aux_loss(g, cset, sys.aux, use_idf=cfg.use_idf, use_loc=cfg.use_loc)
     s_pyr = sys.student.backbone_forward(scene.image)
     det = det_loss(sys.student.det_head_forward(s_pyr), scene.instances, sys.student.cfg)
@@ -307,10 +311,7 @@ def distill_student(cfg: ExperimentConfig, teacher_state: dict, out_dir: str,
         active = cfg.lam != 0.0 and it >= cfg.warmup_iters
         parts = [scene_losses(cfg, sys, s, stats, cond_rng, active)
                  for s in _batch(cfg, it)]
-        det = _mean([p[0] for p in parts])
-        idf = _mean([p[1] for p in parts])
-        loc = _mean([p[2] for p in parts])
-        dis = _mean([p[3] for p in parts])
+        det, idf, loc, dis = (_mean(p) for p in zip(*parts))
         bundle = total_loss(det, idf, loc, dis, cfg.lam)
         final = {"loss_det": det.item(), "loss_aux_idf": idf.item(),
                  "loss_aux_reg": loc.item(), "loss_distill": dis.item()}

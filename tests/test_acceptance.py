@@ -35,14 +35,7 @@ from condkd import verify
 from condkd.checkpoint import load_checkpoint, save_checkpoint
 from condkd.config import ATTENTION_VARIANTS, ExperimentConfig
 from condkd.heatmap import export_attention, read_pgm
-from condkd.instances import (
-    DatasetStats,
-    build_conditions,
-    condition_center,
-    encode_set,
-    make_query,
-    sample_fakes,
-)
+from condkd.instances import DatasetStats, build_conditions, condition_center, sample_fakes
 from condkd.losses import _ZERO_CELLS, distill_loss, regression_targets
 from condkd.pyramid import flatten_pyramid
 from condkd.verify import mini_config
@@ -307,10 +300,8 @@ def test_c03_attention_masks_are_probability_rows():
         cfg = mini_config(seed=i, heads=heads, depth=depth, feat_dim=dim)
         sys_ = tr.build_system(cfg)
         scene = tr.train_scene(cfg, 0)
-        cset = encode_set(scene.instances, sys_.espec, np.random.default_rng((i, 99)))
-        queries = make_query(cset.vectors, sys_.f_q)
-        flat = flatten_pyramid(sys_.teacher.backbone_forward(scene.image), cfg.pos_dim)
-        _, k = sys_.decoder.decode(flat, queries)
+        _, _, _, k = tr.decode_conditions(cfg, sys_, scene.image, scene.instances,
+                                          np.random.default_rng((i, 99)))
         for m in k.masks:
             worst_dev = max(worst_dev, float(np.abs(m.data.sum(axis=-1) - 1.0).max()))
             worst_neg = min(worst_neg, float(m.data.min()))
@@ -324,10 +315,8 @@ def test_c04_loss_identities():
     cfg = mini_config(seed=5)
     sys_ = tr.build_system(cfg)
     scene = tr.train_scene(cfg, 0)
-    cset = encode_set(scene.instances, sys_.espec, np.random.default_rng(5))
-    queries = make_query(cset.vectors, sys_.f_q)
-    flat = flatten_pyramid(sys_.teacher.backbone_forward(scene.image), cfg.pos_dim)
-    _, k = sys_.decoder.decode(flat, queries)
+    cset, flat, _, k = tr.decode_conditions(cfg, sys_, scene.image, scene.instances,
+                                            np.random.default_rng(5))
 
     # equal features: student values are the teacher values
     twins = [T.constant(v.data.copy()) for v in k.values]
@@ -495,11 +484,8 @@ def test_c10_checkpoint_and_heatmap_round_trips(cache, tmp_path):
     cfg = cache.cfg
     sys_ = tr.load_system(cfg, state, load_checkpoint(str(cache.root / "attn-icd-s0.ckpt")))
     scene = tr.heldout_scenes(cfg)[0]
-    cset = encode_set(scene.instances, sys_.espec, np.random.default_rng((cfg.seed, 30)),
-                      include_scale=cfg.use_scale)
-    queries = make_query(cset.vectors, sys_.f_q)
-    flat = flatten_pyramid(sys_.teacher.backbone_forward(scene.image), cfg.pos_dim)
-    _, k = sys_.decoder.decode(flat, queries)
+    _, flat, _, k = tr.decode_conditions(cfg, sys_, scene.image, scene.instances,
+                                         np.random.default_rng((cfg.seed, 30)))
     paths = export_attention(k, flat, 0, 0, str(tmp_path / "attn"))
     row = k.masks[0].data[0]
     heat_ok, offset = True, 0

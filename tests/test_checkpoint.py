@@ -119,11 +119,26 @@ class TestCorruption:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_payload_reports_offset(self, tmp_path, value):
+        # save_checkpoint refuses non-finite arrays, so the bad value is
+        # written over the third element of a finite checkpoint
         path = str(tmp_path / "nan.ckpt")
-        save_checkpoint(path, {"w": np.array([0.0, 1.0, value])})
+        save_checkpoint(path, {"w": np.array([0.0, 1.0, 2.0])})
         off = 12 + 2 + 1 + 1 + 4 + 2 * 8
+        blob = bytearray(open(path, "rb").read())
+        blob[off:off + 8] = np.array([value], dtype="<f8").tobytes()
+        open(path, "wb").write(bytes(blob))
         with pytest.raises(CheckpointError, match=f"non-finite value in w at offset {off}"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_save_raises_and_keeps_the_old_file(self, tmp_path, value):
+        path = str(tmp_path / "keep.ckpt")
+        save_checkpoint(path, {"w": np.zeros(2)})
+        before = open(path, "rb").read()
+        with pytest.raises(CheckpointError, match="non-finite value in v"):
+            save_checkpoint(path, {"w": np.ones(2), "v": np.array([[1.0, value]])})
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["keep.ckpt"]
 
     def test_failed_save_leaves_the_old_file_and_no_temp(self, tmp_path, monkeypatch):
         path = str(tmp_path / "keep.ckpt")

@@ -4,9 +4,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from condkd import cli
+from condkd.checkpoint import load_checkpoint
+from condkd.config import load_config
+from condkd.heatmap import quantize_mask, read_pgm
+from condkd.train import decode_conditions, heldout_scenes, load_system
 
 MINI_CFG = """
 # mini geometry keeps the runs fast
@@ -125,8 +130,9 @@ class TestTrainingCommands:
 
 class TestExportAttn:
     def test_writes_heatmaps(self, cfg_file, trained, capsys):
+        student = os.path.join(trained, "distill.ckpt")
         code = cli.cli_main(["export-attn", "--config", cfg_file, "--out-dir", trained,
-                             "--student", os.path.join(trained, "distill.ckpt"),
+                             "--student", student,
                              "--scene", "0", "--instance", "0", "--head", "1"])
         assert code == 0
         paths = capsys.readouterr().out.splitlines()
@@ -134,6 +140,20 @@ class TestExportAttn:
         for p in paths:
             assert os.path.exists(p)
             assert p.endswith((".pgm", ".ppm"))
+        # each level's PGM shows instance 0's head-1 mask row from the same checkpoint
+        cfg = load_config(cfg_file)
+        sys_ = load_system(cfg, load_checkpoint(os.path.join(trained, "teacher.ckpt")),
+                           load_checkpoint(student))
+        scene = heldout_scenes(cfg)[0]
+        _, flat, _, k = decode_conditions(cfg, sys_, scene.image, scene.instances,
+                                          np.random.default_rng((cfg.seed, 30)))
+        row, offset = k.masks[1].data[0], 0
+        for level, (h, w) in enumerate(flat.shapes):
+            seg = row[offset:offset + h * w].reshape(h, w)
+            offset += h * w
+            heat = read_pgm(paths[2 * level])
+            assert np.argmax(heat) == np.argmax(seg)
+            np.testing.assert_array_equal(heat, quantize_mask(seg))
 
     def test_scene_out_of_range_fails(self, cfg_file, trained, capsys):
         code = cli.cli_main(["export-attn", "--config", cfg_file, "--out-dir", trained,
@@ -164,7 +184,10 @@ class TestVerificationCommands:
 
 
 def test_console_script_help():
+    # pytest's `pythonpath` setting does not reach a subprocess
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-m", "condkd.cli", "--help"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=os.environ | {"PYTHONPATH": path})
     assert out.returncode == 0
     assert "routing-check" in out.stdout

@@ -17,11 +17,12 @@ from condkd.decoder import (
     compute_values,
     decode_knowledge,
 )
-from condkd.instances import encode_set, make_query
+from condkd.instances import sample_fakes
 from condkd.pyramid import FlatPyramid, flatten_pyramid
 from condkd.tensor import ParamGroup, Tensor, finite_diff_check
+from condkd.train import dataset_stats, decode_conditions, train_scene
 
-from helpers import build_system, sample_fake_instances, sample_scene
+from helpers import mini_system
 
 
 def hand_flat(a, pos=None, pos_width=6):
@@ -49,24 +50,31 @@ def manual_layernorm(x):
     return (x - mu) / np.sqrt(var + 1e-5)
 
 
-def teacher_flat(sys, seed=0):
-    img, _ = sample_scene(seed)
-    return flatten_pyramid(sys.teacher.backbone_forward(img), sys.cfg.pos_dim)
+def teacher_flat(cfg, sys):
+    """The flat teacher pyramid of training scene 0."""
+    return flatten_pyramid(sys.teacher.backbone_forward(train_scene(cfg, 0).image),
+                           cfg.pos_dim)
+
+
+def decode_fakes(cfg, sys, n, rng):
+    """decode_conditions on n fake conditions over training scene 0."""
+    conds = sample_fakes(dataset_stats(cfg), 1, n, rng)
+    return decode_conditions(cfg, sys, train_scene(cfg, 0).image, conds, rng)
 
 
 class TestKeys:
     def test_zero_positional_branch_keys_match_plain_projection(self):
-        sys = build_system(seed=1)
+        cfg, sys = mini_system(1)
         layer = sys.decoder.layers[0]
         zero_linear(layer.f_pe)
-        flat = teacher_flat(sys)
+        flat = teacher_flat(cfg, sys)
         keys = compute_keys(layer, flat)
         for f_k, k in zip(layer.f_k, keys):
             want = flat.A.data @ f_k.weight.data.T + f_k.bias.data
             np.testing.assert_allclose(k.data, want, rtol=0, atol=1e-12)
 
     def test_zero_features_keys_see_only_positions(self):
-        sys = build_system(seed=2)
+        _, sys = mini_system(2)
         layer = sys.decoder.layers[0]
         pos = np.random.default_rng(0).normal(size=(5, 6))
         flat = hand_flat(np.zeros((5, 8)), pos=pos)
@@ -77,7 +85,7 @@ class TestKeys:
             np.testing.assert_allclose(k.data, want, rtol=0, atol=1e-12)
 
     def test_key_path_gradients_match_finite_differences(self):
-        sys = build_system(seed=3)
+        _, sys = mini_system(3)
         layer = sys.decoder.layers[0]
         rng = np.random.default_rng(7)
         pos = rng.normal(size=(5, 6))
@@ -96,7 +104,7 @@ class TestKeys:
 
 class TestValues:
     def test_identity_projection_returns_features(self):
-        sys = build_system(seed=4, heads=1)
+        _, sys = mini_system(4, heads=1)
         layer = sys.decoder.layers[0]
         identity_linear(layer.f_v[0])
         a = np.random.default_rng(1).normal(size=(5, 8))
@@ -104,7 +112,7 @@ class TestValues:
         np.testing.assert_array_equal(vals[0].data, a)
 
     def test_zero_projection_returns_bias_rows(self):
-        sys = build_system(seed=5)
+        _, sys = mini_system(5)
         layer = sys.decoder.layers[0]
         for f_v in layer.f_v:
             f_v.bias.data[...] = np.arange(layer.head_dim, dtype=float)
@@ -114,16 +122,16 @@ class TestValues:
             np.testing.assert_array_equal(v.data, np.tile(np.arange(4.0), (5, 1)))
 
     def test_detached_weights_same_forward_value(self):
-        sys = build_system(seed=6)
+        cfg, sys = mini_system(6)
         layer = sys.decoder.layers[0]
-        flat = teacher_flat(sys)
+        flat = teacher_flat(cfg, sys)
         plain = compute_values(layer, flat, detach_weights=False)
         frozen = compute_values(layer, flat, detach_weights=True)
         for p, q in zip(plain, frozen):
             np.testing.assert_array_equal(p.data, q.data)
 
     def test_detached_weights_route_gradient_to_features_only(self):
-        sys = build_system(seed=7)
+        _, sys = mini_system(7)
         layer = sys.decoder.layers[0]
         a = Tensor(np.random.default_rng(2).normal(size=(5, 8)), requires_grad=True)
         vals = compute_values(layer, hand_flat(a), detach_weights=True)
@@ -133,7 +141,7 @@ class TestValues:
         assert np.abs(a.grad).max() > 0.0
 
     def test_same_projection_on_equal_features_gives_equal_values(self):
-        sys = build_system(seed=8)
+        _, sys = mini_system(8)
         layer = sys.decoder.layers[0]
         a = np.random.default_rng(3).normal(size=(5, 8))
         teacher_v = compute_values(layer, hand_flat(a.copy()))
@@ -144,12 +152,12 @@ class TestValues:
 
 class TestMasks:
     def test_constant_keys_give_uniform_masks(self):
-        sys = build_system(seed=9)
+        cfg, sys = mini_system(9)
         layer = sys.decoder.layers[0]
         for f_k in layer.f_k:
             f_k.weight.data[...] = 0.0  # keys collapse to the bias row
         zero_linear(layer.f_pe)
-        flat = teacher_flat(sys)
+        flat = teacher_flat(cfg, sys)
         queries = T.constant(np.random.default_rng(4).normal(size=(3, 8)))
         masks = attention_masks(layer, compute_keys(layer, flat), queries)
         for m in masks:
@@ -187,13 +195,8 @@ class TestMasks:
 
     def test_mask_rows_are_probability_distributions(self):
         for seed in range(20):
-            sys = build_system(seed=seed)
-            flat = teacher_flat(sys, seed=seed)
-            rng = np.random.default_rng(seed)
-            conds = sample_fake_instances(rng, 3)
-            cset = encode_set(conds, sys.espec, rng)
-            queries = make_query(cset.vectors, sys.f_q)
-            _, k = sys.decoder.decode(flat, queries)
+            cfg, sys = mini_system(seed)
+            _, _, _, k = decode_fakes(cfg, sys, 3, np.random.default_rng(seed))
             for m in k.masks:
                 assert np.all(m.data >= 0.0)
                 np.testing.assert_allclose(m.data.sum(axis=-1), 1.0, rtol=0, atol=1e-9)
@@ -201,8 +204,8 @@ class TestMasks:
 
 class TestDecodeKnowledge:
     def test_shapes(self):
-        sys = build_system(seed=10)
-        flat = teacher_flat(sys)
+        cfg, sys = mini_system(10)
+        flat = teacher_flat(cfg, sys)
         queries = T.constant(np.random.default_rng(5).normal(size=(4, 8)))
         k = decode_knowledge(sys.decoder.layers[0], flat, queries)
         assert k.num_heads == 2
@@ -210,8 +213,8 @@ class TestDecodeKnowledge:
         assert all(v.shape == (5, 4) for v in k.values)
 
     def test_repeated_decode_is_bit_identical(self):
-        sys = build_system(seed=11)
-        flat = teacher_flat(sys)
+        cfg, sys = mini_system(11)
+        flat = teacher_flat(cfg, sys)
         queries = T.constant(np.random.default_rng(6).normal(size=(4, 8)))
         k1 = decode_knowledge(sys.decoder.layers[0], flat, queries)
         k2 = decode_knowledge(sys.decoder.layers[0], flat, queries)
@@ -221,7 +224,7 @@ class TestDecodeKnowledge:
 
 class TestAggregate:
     def test_one_hot_masks_select_value_rows(self):
-        sys = build_system(seed=12)
+        _, sys = mini_system(12)
         layer = sys.decoder.layers[0]
         identity_linear(layer.out_proj)
         for lin in (layer.ffn.l1, layer.ffn.l2, layer.ffn.l3):
@@ -239,7 +242,7 @@ class TestAggregate:
         np.testing.assert_allclose(g.data, want, rtol=0, atol=1e-12)
 
     def test_zero_projections_pass_queries_through_norm(self):
-        sys = build_system(seed=13)
+        _, sys = mini_system(13)
         layer = sys.decoder.layers[0]
         zero_linear(layer.out_proj)
         for lin in (layer.ffn.l1, layer.ffn.l2, layer.ffn.l3):
@@ -252,13 +255,8 @@ class TestAggregate:
 
     def test_attended_rows_stay_inside_value_hull(self):
         # m_j V_j is a convex combination of value rows, columnwise bounded
-        sys = build_system(seed=14)
-        flat = teacher_flat(sys)
-        rng = np.random.default_rng(9)
-        conds = sample_fake_instances(rng, 4)
-        cset = encode_set(conds, sys.espec, rng)
-        queries = make_query(cset.vectors, sys.f_q)
-        _, k = sys.decoder.decode(flat, queries)
+        cfg, sys = mini_system(14)
+        _, _, _, k = decode_fakes(cfg, sys, 4, np.random.default_rng(9))
         for m, v in zip(k.masks, k.values):
             mixed = m.data @ v.data
             lo, hi = v.data.min(axis=0), v.data.max(axis=0)
@@ -266,16 +264,14 @@ class TestAggregate:
             assert np.all(mixed <= hi + 1e-12)
 
     def test_decode_and_aggregate_gradients_match_finite_differences(self):
-        sys = build_system(seed=15)
+        cfg, sys = mini_system(15)
         rng = np.random.default_rng(10)
-        a = rng.normal(size=(5, 8))
-        pos = rng.normal(size=(5, 6))
-        enc = rng.normal(size=(3, sys.espec.width))
+        conds = sample_fakes(dataset_stats(cfg), 1, 3, rng)
         w = rng.normal(size=(3, 8))
+        image = train_scene(cfg, 0).image
 
         def f():
-            queries = make_query(enc, sys.f_q)
-            g, _ = sys.decoder.decode(hand_flat(a, pos=pos), queries)
+            _, _, g, _ = decode_conditions(cfg, sys, image, conds, np.random.default_rng(11))
             return T.tsum(T.mul(g, T.constant(w)))
 
         report = finite_diff_check(f, sys.groups["decoder"])
@@ -284,9 +280,9 @@ class TestAggregate:
 
 class TestHeadIndependence:
     def test_perturbing_one_head_leaves_the_other_untouched(self):
-        sys = build_system(seed=16)
+        cfg, sys = mini_system(16)
         layer = sys.decoder.layers[0]
-        flat = teacher_flat(sys)
+        flat = teacher_flat(cfg, sys)
         queries = T.constant(np.random.default_rng(11).normal(size=(3, 8)))
         before = decode_knowledge(layer, flat, queries)
         for lin in (layer.f_k[0], layer.f_v[0], layer.f_q[0]):
@@ -300,10 +296,10 @@ class TestHeadIndependence:
 
 class TestCascade:
     def test_depth_two_feeds_aggregate_back_as_queries(self):
-        sys = build_system(seed=17, depth=2)
+        cfg, sys = mini_system(17, depth=2)
         names = dict(sys.groups["decoder"].named())
         assert "dec0.h0.f_k.w" in names and "dec1.h0.f_k.w" in names
-        flat = teacher_flat(sys)
+        flat = teacher_flat(cfg, sys)
         queries = T.constant(np.random.default_rng(12).normal(size=(3, 8)))
         g, k_final = sys.decoder.decode(flat, queries)
         assert g.shape == (3, 8)
@@ -321,7 +317,7 @@ class TestCascade:
 
 class TestStudentValues:
     def test_uses_final_layer_and_matches_teacher_on_equal_features(self):
-        sys = build_system(seed=18, depth=2)
+        _, sys = mini_system(18, depth=2)
         a = np.random.default_rng(13).normal(size=(5, 8))
         sv = sys.decoder.student_values(hand_flat(a))
         tv = compute_values(sys.decoder.layers[-1], hand_flat(a))

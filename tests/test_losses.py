@@ -18,9 +18,11 @@ from condkd.losses import (
     total_loss,
     verify_gradient_routing,
 )
+from condkd.pyramid import flatten_pyramid
 from condkd.tensor import ParamGroup, finite_diff_check
+from condkd.train import dataset_stats, scene_losses, train_scene
 
-from helpers import build_system, forward_bundle, pixel_instance, sample_scene
+from helpers import mini_system, pixel_instance
 
 
 class TestRegressionTargets:
@@ -102,7 +104,7 @@ class TestLocalizationLoss:
 
 class TestAuxLoss:
     def test_zeroed_heads_give_hand_computable_losses(self):
-        sys = build_system(seed=20)
+        _, sys = mini_system(20)
         for lin in (sys.aux.trunk.l1, sys.aux.trunk.l2, sys.aux.trunk.l3,
                     sys.aux.f_obj, sys.aux.f_reg):
             lin.weight.data[...] = 0.0
@@ -117,7 +119,7 @@ class TestAuxLoss:
         assert abs(loc.item() - 2.0) < 1e-12  # 4 sides, |0.5-0.25| / 0.5 each
 
     def test_subtask_toggles_replace_terms_with_zero(self):
-        sys = build_system(seed=21)
+        _, sys = mini_system(21)
         inst = make_instance(1, 0.5, 0.5, 0.5, 0.5, 16, 16)
         cset = ConditionSet(instances=[inst], vectors=np.zeros((1, sys.espec.width)),
                             centers=np.array([[0.5, 0.5]]))
@@ -128,7 +130,7 @@ class TestAuxLoss:
         assert idf.item() != 0.0 and loc.item() == 0.0
 
     def test_row_count_mismatch_is_rejected(self):
-        sys = build_system(seed=22)
+        _, sys = mini_system(22)
         inst = make_instance(1, 0.5, 0.5, 0.5, 0.5, 16, 16)
         cset = ConditionSet(instances=[inst], vectors=np.zeros((1, sys.espec.width)),
                             centers=np.array([[0.5, 0.5]]))
@@ -143,10 +145,9 @@ def hand_knowledge(masks, values):
 
 class TestDistillLoss:
     def test_equal_features_cost_exactly_zero(self):
-        sys = build_system(seed=23)
-        img, _ = sample_scene(3)
-        from condkd.pyramid import flatten_pyramid
-        flat = flatten_pyramid(sys.teacher.backbone_forward(img), sys.cfg.pos_dim)
+        cfg, sys = mini_system(23)
+        flat = flatten_pyramid(sys.teacher.backbone_forward(train_scene(cfg, 3).image),
+                               cfg.pos_dim)
         layer = sys.decoder.layers[-1]
         k = Knowledge(masks=[T.constant(np.full((2, 5), 0.2))] * 2,
                       values=compute_values(layer, flat))
@@ -223,45 +224,28 @@ class TestTotalLoss:
         assert bundle.det.item() == 1.0
 
 
+def scene_bundle(cfg, sys, i, rng, distill_detach=True):
+    """total_loss over scene_losses of training scene i, distillation on."""
+    parts = scene_losses(cfg, sys, train_scene(cfg, i), dataset_stats(cfg), rng,
+                         distill_active=True, distill_detach=distill_detach)
+    return total_loss(*parts, cfg.lam)
+
+
 class TestRouting:
-    def test_nine_cell_audit_passes_with_detached_distillation(self):
-        sys = build_system(seed=24)
-        img, reals = sample_scene(5)
-        bundle, _ = forward_bundle(sys, img, reals, np.random.default_rng(6))
-        report = verify_gradient_routing(bundle, sys.groups)
-        assert report.passed, str(report)
-        for cell in (("det", "student"), ("aux", "decoder"), ("aux", "aux"),
-                     ("distill", "student")):
-            assert report.cells[cell] > 0.0, (cell, str(report))
-        for cell in (("det", "decoder"), ("det", "aux"), ("aux", "student"),
-                     ("distill", "decoder"), ("distill", "aux")):
-            assert report.cells[cell] == 0.0, (cell, str(report))
-        assert "PASS" in str(report)
-
-    def test_undetached_masks_leak_into_the_decoder(self):
-        sys = build_system(seed=25)
-        img, reals = sample_scene(6)
-        bundle, _ = forward_bundle(sys, img, reals, np.random.default_rng(7),
-                                   detach_inputs=False)
-        report = verify_gradient_routing(bundle, sys.groups)
-        assert not report.passed
-        assert any(l == "distill" and g == "decoder" for l, g, _, _ in report.violations)
-        assert "FAIL" in str(report)
-
+    # the passing audit and the mask-leak mutation are in test_verify.py
     def test_live_value_weights_leak_into_the_decoder(self):
-        sys = build_system(seed=26)
-        img, reals = sample_scene(7)
-        bundle, _ = forward_bundle(sys, img, reals, np.random.default_rng(8),
-                                   detach_fv=False)
+        cfg, sys = mini_system(26, detach_fv=False)
+        bundle = scene_bundle(cfg, sys, 7, np.random.default_rng(8))
         report = verify_gradient_routing(bundle, sys.groups)
         assert not report.passed
         leaked = {p for l, g, p, _ in report.violations if l == "distill" and g == "decoder"}
         assert any("f_v" in p for p in leaked)
 
     def test_unfrozen_teacher_fails_the_audit(self):
-        sys = build_system(seed=27, freeze_teacher=False)
-        img, reals = sample_scene(8)
-        bundle, _ = forward_bundle(sys, img, reals, np.random.default_rng(9))
+        cfg, sys = mini_system(27)
+        for _, p in sys.groups["teacher"].named():  # undo build_system's freeze
+            p.requires_grad, p.grad = True, np.zeros_like(p.data)
+        bundle = scene_bundle(cfg, sys, 8, np.random.default_rng(9))
         report = verify_gradient_routing(bundle, sys.groups)
         assert not report.teacher_frozen
         assert not report.passed
@@ -274,13 +258,11 @@ class TestComposedGradients:
         # stop-gradients: finite differences always measure the true
         # sensitivity, so detached paths would disagree by construction.
         # Detachment is what the routing audit verifies.
-        sys = build_system(seed=28)
-        img, reals = sample_scene(9)
+        cfg, sys = mini_system(28)
 
         def f():
-            bundle, _ = forward_bundle(sys, img, reals, np.random.default_rng(10),
-                                       detach_inputs=False, detach_fv=False)
-            return bundle.total
+            return scene_bundle(cfg, sys, 9, np.random.default_rng(10),
+                                distill_detach=False).total
 
         names = dict(sys.groups["student"].named())
         params = {

@@ -46,6 +46,10 @@ class TestRoutingAudit:
         assert report.passed
         assert not report.violations
         assert report.teacher_frozen
+        for cell in (("det", "student"), ("aux", "decoder"), ("aux", "aux"),
+                     ("distill", "student")):
+            assert report.cells[cell] > 0.0, (cell, str(report))
+        assert "PASS" in str(report)
 
     def test_blocked_cells_are_exactly_zero(self):
         report = routing_audit(seed=0)
@@ -55,4 +59,7 @@ class TestRoutingAudit:
     def test_removing_stop_gradients_fails_the_audit(self):
         report = routing_audit(seed=0, mutated=True)
         assert not report.passed
-        assert report.violations
+        leaked = {p for l, g, p, _ in report.violations if l == "distill" and g == "decoder"}
+        # the masks' own path leaks, not only the f_v value projections
+        assert any("f_v" not in p for p in leaked), str(report)
+        assert "FAIL" in str(report)
