@@ -9,7 +9,15 @@ identification/localization task trains the decoder itself.
 Everything runs on a small numpy-backed autodiff substrate; see ``tensor``.
 """
 
-from .tensor import Tensor, ParamGroup, backward, finite_diff_check
+import os
+
+# One BLAS thread unless the caller chose otherwise: the matrices here are
+# small, and a thread per core only oversubscribes the cores when anything
+# runs beside. Set before numpy is first imported, or it has no effect.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from .tensor import Tensor, ParamGroup, backward, finite_diff_check  # noqa: E402
 
 __all__ = ["Tensor", "ParamGroup", "backward", "finite_diff_check"]
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ import numpy as np
 from .tensor import ParamGroup
 
 MAGIC = b"ICDC"
-VERSION = 1
+VERSION = 2  # 2: one f_k/f_v/f_q projection per decoder layer, not one per head
 
 
 class CheckpointError(Exception):

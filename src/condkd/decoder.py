@@ -20,59 +20,60 @@ from .tensor import ParamGroup, Tensor
 
 
 class DecoderLayer:
-    """One cross-attention block: M heads of width d = D/M plus aggregation."""
+    """One cross-attention block: M heads of width d = D/M plus aggregation.
+    Head j owns columns j*d:(j+1)*d of the key, query and value projections."""
 
     def __init__(self, dim: int, heads: int, pos_width: int, group: ParamGroup,
                  rng: np.random.Generator, name: str = "dec0"):
         if dim % heads:
             raise ValueError(f"head count {heads} must divide feature width {dim}")
+        self.heads = heads
         self.head_dim = dim // heads
-        self.f_k = [Linear(dim, self.head_dim, group, rng, f"{name}.h{j}.f_k") for j in range(heads)]
-        self.f_v = [Linear(dim, self.head_dim, group, rng, f"{name}.h{j}.f_v") for j in range(heads)]
-        self.f_q = [Linear(dim, self.head_dim, group, rng, f"{name}.h{j}.f_q") for j in range(heads)]
+        self.f_k = Linear(dim, dim, group, rng, f"{name}.f_k")
+        self.f_v = Linear(dim, dim, group, rng, f"{name}.f_v")
+        self.f_q = Linear(dim, dim, group, rng, f"{name}.f_q")
         self.f_pe = Linear(pos_width, dim, group, rng, f"{name}.f_pe")
         self.out_proj = Linear(dim, dim, group, rng, f"{name}.out")
         self.ffn = Mlp3(dim, dim, dim, group, rng, f"{name}.ffn")
 
+    def project(self, f: Linear, x: Tensor, detach_weights: bool = False) -> Tensor:
+        """One of the per-head projections f_k, f_v, f_q, applied to all heads."""
+        w, b = (T.detach(f.weight), T.detach(f.bias)) if detach_weights else (f.weight, f.bias)
+        return T.linear(x, w, b, heads=self.heads)
+
 
 @dataclass
 class Knowledge:
-    """Per-head attention masks [N x L] paired with per-head values [L x d]."""
+    """Attention masks [M x N x L] paired with values [L x D], whose columns
+    j*d:(j+1)*d belong to head j."""
 
-    masks: list[Tensor]
-    values: list[Tensor]
+    masks: Tensor
+    values: Tensor
 
     @property
     def num_heads(self) -> int:
-        return len(self.masks)
+        return self.masks.shape[0]
 
 
-def compute_keys(layer: DecoderLayer, flat: FlatPyramid) -> list[Tensor]:
-    """K_j = F_k_j(A + F_pe(P)): one shared positional sum, per-head keys."""
-    base = T.add(flat.A, layer.f_pe(T.constant(flat.pos)))
-    return [f(base) for f in layer.f_k]
+def compute_keys(layer: DecoderLayer, flat: FlatPyramid) -> Tensor:
+    """K = F_k(A + F_pe(P)); positions enter keys only."""
+    return layer.project(layer.f_k, T.add(flat.A, layer.f_pe(T.constant(flat.pos))))
 
 
-def compute_values(layer: DecoderLayer, flat: FlatPyramid, detach_weights: bool = False) -> list[Tensor]:
-    """V_j = F_v_j(A); positions never enter values.
+def compute_values(layer: DecoderLayer, flat: FlatPyramid, detach_weights: bool = False) -> Tensor:
+    """V = F_v(A); positions never enter values.
 
-    detach_weights applies the projections as constants, so gradient reaches
+    detach_weights applies the projection as constants, so gradient reaches
     only the features. Used on the student path of the distillation loss.
     """
-    if detach_weights:
-        return [T.linear(flat.A, T.detach(f.weight), T.detach(f.bias))
-                for f in layer.f_v]
-    return [f(flat.A) for f in layer.f_v]
+    return layer.project(layer.f_v, flat.A, detach_weights)
 
 
-def attention_masks(layer: DecoderLayer, keys: list[Tensor], queries: Tensor) -> list[Tensor]:
+def attention_masks(layer: DecoderLayer, keys: Tensor, queries: Tensor) -> Tensor:
     """m_ij = softmax over all L positions of K_j q_ij / sqrt(d)."""
-    scale = 1.0 / np.sqrt(layer.head_dim)
-    out = []
-    for f_q, k in zip(layer.f_q, keys):
-        qj = f_q(queries)
-        out.append(T.softmax(T.scaled_scores(qj, k, scale), axis=-1))
-    return out
+    scores = T.scaled_scores(layer.project(layer.f_q, queries), keys,
+                             1.0 / np.sqrt(layer.head_dim), heads=layer.heads)
+    return T.softmax(scores, axis=-1)
 
 
 def decode_knowledge(layer: DecoderLayer, flat: FlatPyramid, queries: Tensor) -> Knowledge:
@@ -84,9 +85,7 @@ def decode_knowledge(layer: DecoderLayer, flat: FlatPyramid, queries: Tensor) ->
 
 def aggregate(k: Knowledge, queries: Tensor, layer: DecoderLayer) -> Tensor:
     """g = norm(u + FFN(norm(u))) with u = q + OutProj(concat_j m_j V_j)."""
-    per_head = [T.matmul(m, v) for m, v in zip(k.masks, k.values)]
-    o = layer.out_proj(T.concat(per_head, axis=-1))
-    u = T.add(queries, o)
+    u = T.add(queries, layer.out_proj(T.attend(k.masks, k.values)))
     return T.layernorm_pf(T.add(u, layer.ffn(T.layernorm_pf(u))))
 
 
@@ -102,14 +101,11 @@ class ConditionalDecoder:
                        for i in range(depth)]
 
     def decode(self, flat: FlatPyramid, queries: Tensor) -> tuple[Tensor, Knowledge]:
-        q = queries
-        k: Knowledge | None = None
-        for layer in self.layers:
-            k = decode_knowledge(layer, flat, q)
-            q = aggregate(k, q, layer)
-        assert k is not None
-        return q, k
+        for layer in self.layers:  # at least one: the constructor checks
+            k = decode_knowledge(layer, flat, queries)
+            queries = aggregate(k, queries, layer)
+        return queries, k
 
-    def student_values(self, flat: FlatPyramid, detach_weights: bool = True) -> list[Tensor]:
-        """Student-side V_j from the final layer's (shared) value projections."""
+    def student_values(self, flat: FlatPyramid, detach_weights: bool = True) -> Tensor:
+        """Student-side V from the final layer's (shared) value projection."""
         return compute_values(self.layers[-1], flat, detach_weights=detach_weights)

@@ -71,7 +71,7 @@ def export_attention(k: Knowledge, flat: FlatPyramid, instance: int, head: int,
     """Write one PGM + PPM pair per pyramid level; returns written paths."""
     if not 0 <= head < k.num_heads:
         raise ValueError(f"head {head} out of range for {k.num_heads} heads")
-    mask = k.masks[head].data
+    mask = k.masks.data[head]
     if not 0 <= instance < mask.shape[0]:
         raise ValueError(f"instance {instance} out of range for {mask.shape[0]} rows")
     row = mask[instance]

@@ -91,38 +91,36 @@ def aux_loss(g: Tensor, conditions: ConditionSet, heads: AuxHeads,
     return idf, loc
 
 
-def distill_loss(teacher_k: Knowledge, student_values: list[Tensor], flags: np.ndarray,
+def distill_loss(teacher_k: Knowledge, student_values: Tensor, flags: np.ndarray,
                  detach_inputs: bool = True) -> Tensor:
     """Attention-weighted feature matching, Σ_j Σ_i δ_i <m_ij, mse_j> / (M N_r).
 
-    mse_j is the per-position mean over channels of the squared difference of
-    parameter-free-normalized value rows. Masks and teacher values are
-    detached (detach_inputs=False exists only for the routing mutation test).
+    mse_j is the per-position mean over head j's channels of the squared
+    difference of parameter-free-normalized value rows. Masks and teacher
+    values are detached (detach_inputs=False exists only for the routing
+    mutation test).
     """
-    if len(student_values) != teacher_k.num_heads:
-        raise ValueError(f"{len(student_values)} student heads vs {teacher_k.num_heads} teacher heads")
+    v_t, v_s, m_heads = teacher_k.values, student_values, teacher_k.num_heads
+    if v_t.shape != v_s.shape:
+        raise ValueError(f"teacher values {v_t.shape} vs student values {v_s.shape}")
+    if v_t.shape[1] % m_heads:
+        raise ValueError(f"{m_heads} heads do not divide value width {v_t.shape[1]}")
     real = np.flatnonzero(flags > 0)
     if real.size == 0:
         warnings.warn("distill_loss: no real instances, returning 0")
         return T.constant(0.0)
-    m_heads = teacher_k.num_heads
-    total: Tensor | None = None
-    for m, v_t, v_s in zip(teacher_k.masks, teacher_k.values, student_values):
-        if v_t.shape != v_s.shape:
-            raise ValueError(f"teacher values {v_t.shape} vs student values {v_s.shape}")
-        if detach_inputs:
-            # masks and teacher values enter as constants: one fused node
-            nt = T.layernorm_pf(T.detach(v_t))
-            contrib = T.weighted_row_mse(m.data[real], nt.data, v_s)
-        else:
-            nt = T.layernorm_pf(v_t)
-            ns = T.layernorm_pf(v_s)
-            d = ns - nt
-            row_mse = T.tmean(T.mul(d, d), axis=-1)  # [L]
-            weights = T.gather_rows(m, real)  # [N_r x L]
-            contrib = T.tsum(T.mul(weights, T.reshape(row_mse, (1, row_mse.shape[0]))))
-        total = contrib if total is None else T.add(total, contrib)
-    assert total is not None
+    l = v_t.shape[0]
+    per_head = (l, m_heads, v_t.shape[1] // m_heads)
+    if detach_inputs:
+        # masks and teacher values enter as constants: one fused node
+        nt = T.layernorm_pf(T.reshape(T.detach(v_t), per_head))
+        total = T.weighted_row_mse(teacher_k.masks.data[:, real],
+                                   nt.data.reshape(v_t.shape), v_s)
+    else:
+        d = T.layernorm_pf(T.reshape(v_s, per_head)) - T.layernorm_pf(T.reshape(v_t, per_head))
+        row_mse = T.reshape(T.transpose(T.tmean(T.mul(d, d), axis=-1)), (m_heads, 1, l))
+        is_real = T.constant((flags > 0).astype(float).reshape(1, -1, 1))
+        total = T.tsum(T.mul(T.mul(teacher_k.masks, is_real), row_mse))
     return total * (1.0 / (m_heads * real.size))
 
 

@@ -88,21 +88,32 @@ def _sample_box(spec: SceneSpec, category: int, rng: np.random.Generator) -> tup
     return x1, y1, x1 + w, y1 + h
 
 
+def _draw_layout(spec: SceneSpec, rng: np.random.Generator):
+    """Every draw of a scene but its noise: (instance, pixel box) pairs in
+    paint order."""
+    s = spec.image_size
+    layout = []
+    for _ in range(int(rng.integers(spec.min_instances, spec.max_instances + 1))):
+        category = int(rng.integers(spec.num_classes))
+        x1, y1, x2, y2 = box = _sample_box(spec, category, rng)
+        layout.append((make_instance(category, (x1 + x2) / 2 / s, (y1 + y2) / 2 / s,
+                                     (x2 - x1) / s, (y2 - y1) / s, s, s), box))
+    return layout
+
+
+def scene_instances(spec: SceneSpec, seed: tuple[int, ...]) -> list[Instance]:
+    """The instances of generate_scene(spec, seed), without rendering it."""
+    return [inst for inst, _ in _draw_layout(spec, np.random.default_rng(seed))]
+
+
 def generate_scene(spec: SceneSpec, seed: tuple[int, ...]) -> Scene:
     rng = np.random.default_rng(seed)
     s = spec.image_size
     canvas = np.full((s, s, 3), spec.background)
-    n = int(rng.integers(spec.min_instances, spec.max_instances + 1))
-    instances = []
-    for _ in range(n):
-        category = int(rng.integers(spec.num_classes))
-        x1, y1, x2, y2 = _sample_box(spec, category, rng)
-        _paint(canvas, category, x1, y1, x2, y2)
-        instances.append(make_instance(
-            category,
-            (x1 + x2) / 2 / s, (y1 + y2) / 2 / s,
-            (x2 - x1) / s, (y2 - y1) / s,
-            s, s))
+    layout = _draw_layout(spec, rng)
+    for inst, box in layout:
+        _paint(canvas, inst.category, *box)
+    instances = [inst for inst, _ in layout]
     if spec.noise_sigma > 0:
         canvas = canvas + rng.normal(0.0, spec.noise_sigma, canvas.shape)
     return Scene(T.constant(canvas.transpose(2, 0, 1)), instances, seed)

@@ -320,26 +320,36 @@ def matmul(a, b) -> Tensor:
     return _from_op(out, (a, b), vjp)
 
 
-def linear(x, w, b) -> Tensor:
+def linear(x, w, b, heads: int = 1) -> Tensor:
     """x w^T + b for x [N x in], w [out x in], b [out], as one graph node.
 
     The arithmetic is that of add(matmul(x, transpose(w)), b), operation for
     operation, so results and gradients match the three-node form bit for bit.
+    With heads > 1 the rows of w form that many equal blocks, one per
+    attention head. x is then listed once per block, and its gradient comes
+    back as one partial product per block, added in block order: the order in
+    which backward adds the input gradients of one linear node per block. So
+    results and gradients also match that per-head form bit for bit.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[1]:
-        raise ShapeError(f"linear: incompatible shapes {x.shape} x {w.shape}^T")
-    wt = w.data.T.copy()
-    out = x.data @ wt + b.data
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[1] \
+            or w.shape[0] % heads:
+        raise ShapeError(f"linear: incompatible shapes {x.shape} x {w.shape}^T "
+                         f"in {heads} heads")
+    n, d = x.shape[0], w.shape[0] // heads
+    wt = w.data.reshape(heads, d, -1).transpose(0, 2, 1).copy()  # w_j^T per head
+    out = np.matmul(x.data, wt).transpose(1, 0, 2).reshape(n, -1) + b.data
 
     def vjp(g):
-        return (
-            g @ wt.T if x.requires_grad else None,
+        g3 = g.reshape(n, heads, d).transpose(1, 0, 2)
+        gx = tuple(g3[j] @ wt[j].T for j in range(heads)) if x.requires_grad \
+            else (None,) * heads
+        return gx + (
             (x.data.T @ g).T if w.requires_grad else None,
             _unbroadcast(g, b.shape) if b.requires_grad else None,
         )
 
-    return _from_op(out, (x, w, b), vjp)
+    return _from_op(out, (x,) * heads + (w, b), vjp)
 
 
 def mlp(x, layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
@@ -385,28 +395,66 @@ def mlp(x, layers: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
     return _from_op(pre[-1], inputs, vjp)
 
 
-def scaled_scores(q, k, scale: float) -> Tensor:
-    """(q k^T) * scale for q [N x d] and k [L x d], as one graph node.
+def scaled_scores(q, k, scale: float, heads: int = 1) -> Tensor:
+    """Per-head (q_j k_j^T) * scale for q [N x D] and k [L x D], where head j
+    owns columns j*d:(j+1)*d of both (d = D / heads), stacked into one
+    [heads x N x L] graph node.
 
-    The arithmetic is that of mul(matmul(q, transpose(k)), scale), operation
-    for operation, so results and gradients match the three-node form bit
-    for bit.
+    The arithmetic is that of mul(matmul(q_j, transpose(k_j)), scale) per
+    head, operation for operation, so results and gradients match that
+    composed form bit for bit.
     """
     q, k = as_tensor(q), as_tensor(k)
-    if q.data.ndim != 2 or k.data.ndim != 2 or q.shape[1] != k.shape[1]:
-        raise ShapeError(f"scaled_scores: incompatible shapes {q.shape} x {k.shape}^T")
-    kt = k.data.T.copy()
+    if q.data.ndim != 2 or k.data.ndim != 2 or q.shape[1] != k.shape[1] \
+            or q.shape[1] % heads:
+        raise ShapeError(f"scaled_scores: incompatible shapes {q.shape} x {k.shape}^T "
+                         f"in {heads} heads")
+    (n, width), l = q.shape, k.shape[0]
+    d = width // heads
+    q3 = q.data.reshape(n, heads, d).transpose(1, 0, 2)  # [heads x N x d]
+    kt = k.data.reshape(l, heads, d).transpose(1, 2, 0).copy()  # [heads x d x L]
     scale = np.asarray(float(scale))
-    out = (q.data @ kt) * scale
+    out = np.matmul(q3, kt) * scale
 
     def vjp(g):
         g = g * scale
         return (
-            g @ kt.T if q.requires_grad else None,
-            (q.data.T @ g).T if k.requires_grad else None,
+            np.matmul(g, kt.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(n, width)
+            if q.requires_grad else None,
+            np.matmul(q3.transpose(0, 2, 1), g).transpose(2, 0, 1).reshape(l, width)
+            if k.requires_grad else None,
         )
 
     return _from_op(out, (q, k), vjp)
+
+
+def attend(masks, values) -> Tensor:
+    """Per-head mask-weighted values m_j v_j for masks [heads x N x L] and
+    values [L x D], where head j owns columns j*d:(j+1)*d of values, placed
+    side by side into one [N x D] graph node.
+
+    The arithmetic is that of concat([matmul(m_j, v_j) for each head], -1),
+    operation for operation, so results and gradients match that composed
+    form bit for bit.
+    """
+    masks, values = as_tensor(masks), as_tensor(values)
+    if masks.data.ndim != 3 or values.data.ndim != 2 or masks.shape[2] != values.shape[0] \
+            or values.shape[1] % masks.shape[0]:
+        raise ShapeError(f"attend: incompatible shapes {masks.shape} x {values.shape}")
+    heads, n, l = masks.shape
+    width = values.shape[1]
+    v3 = values.data.reshape(l, heads, width // heads).transpose(1, 0, 2)  # [heads x L x d]
+    out = np.matmul(masks.data, v3).transpose(1, 0, 2).reshape(n, width)
+
+    def vjp(g):
+        g3 = g.reshape(n, heads, width // heads).transpose(1, 0, 2)
+        return (
+            np.matmul(g3, v3.transpose(0, 2, 1)) if masks.requires_grad else None,
+            np.matmul(masks.data.transpose(0, 2, 1), g3).transpose(1, 0, 2).reshape(l, width)
+            if values.requires_grad else None,
+        )
+
+    return _from_op(out, (masks, values), vjp)
 
 
 def transpose(a) -> Tensor:
@@ -643,35 +691,39 @@ def layernorm_pf(x, eps: float = 1e-5) -> Tensor:
 
 
 def weighted_row_mse(weights: np.ndarray, target: np.ndarray, x, eps: float = 1e-5) -> Tensor:
-    """sum_ij weights[i, j] * mean_k (layernorm_pf(x)[j, k] - target[j, k])^2
-    for x [L x d], a constant target [L x d] and constant weights [N x L],
+    """sum_j sum_ik weights[j, i, k] * mean_c (layernorm_pf(x_j)[k, c] - target_j[k, c])^2
+    for x [L x D], a constant target [L x D] and constant weights
+    [heads x N x L], where head j owns columns j*d:(j+1)*d of x and target,
     as one graph node with gradient to x only.
 
-    The arithmetic is that of the composition
-    tsum(weights * reshape(tmean((layernorm_pf(x) - target)^2, -1), (1, L)))
-    with the square written mul(d, d), operation for operation, so results
-    and gradients match that form bit for bit when x has no other consumer.
+    The arithmetic is that of the per-head composition
+    tsum(weights[j] * reshape(tmean((layernorm_pf(x_j) - target_j)^2, -1), (1, L)))
+    with the square written mul(d, d), the head terms added in head order,
+    operation for operation, so results and gradients match that form bit
+    for bit when each x_j has no other consumer.
     """
     x = as_tensor(x)
     weights, target = np.asarray(weights, dtype=np.float64), np.asarray(target, dtype=np.float64)
-    if x.data.ndim != 2 or target.shape != x.shape or weights.ndim != 2 \
-            or weights.shape[1] != x.shape[0]:
+    if x.data.ndim != 2 or target.shape != x.shape or weights.ndim != 3 \
+            or weights.shape[2] != x.shape[0] or x.shape[1] % weights.shape[0]:
         raise ShapeError(f"weighted_row_mse: weights {weights.shape}, target {target.shape}, "
                          f"x {x.shape}")
-    ns, c, s = _layernorm_rows(x.data, eps)
-    d = ns + -target
-    rows = (d * d).mean(axis=-1).reshape(1, -1)
-    out = (weights * rows).sum()
+    heads = weights.shape[0]
+    (l, width), d = x.shape, x.shape[1] // heads
+    ns, c, s = _layernorm_rows(x.data.reshape(l, heads, d), eps)  # [L x heads x d]
+    diff = ns + -target.reshape(l, heads, d)
+    rows = (diff * diff).mean(axis=-1).T[:, None, :]  # [heads x 1 x L]
+    out = functools.reduce(np.add, [(w * r).sum() for w, r in zip(weights, rows)])
 
     def vjp(g):
         g_prod = np.empty(weights.shape)
         g_prod[...] = g
-        g_rows = _unbroadcast(g_prod * weights, rows.shape).reshape(-1, 1)
-        g_sq = np.divide(g_rows, d.shape[-1], out=np.empty(d.shape))
-        g_d = g_sq * d
-        g_d = g_d + g_sq * d
+        g_rows = (g_prod * weights).sum(axis=1).T[:, :, None]  # [L x heads x 1]
+        g_sq = np.divide(g_rows, d, out=np.empty(diff.shape))
+        g_d = g_sq * diff
+        g_d = g_d + g_sq * diff
         first, second = _layernorm_rows_vjp(g_d, c, s)
-        return (first + second,)
+        return ((first + second).reshape(l, width),)
 
     return _from_op(out, (x,), vjp)
 

@@ -23,7 +23,7 @@ from .instances import EncoderSpec, build_conditions, compute_stats, encode_set,
 from .losses import AuxHeads, aux_loss, distill_loss, total_loss
 from .nn import Mlp3, MomentumSGD
 from .pyramid import FlatPyramid, ToyDetector, det_loss, flatten_pyramid, inherit_parameters
-from .scenes import Scene, generate_scene
+from .scenes import Scene, generate_scene, scene_instances
 from .tensor import ParamGroup, Tensor
 
 METRICS_HEADER = "run,iter,loss_det,loss_aux_idf,loss_aux_reg,loss_distill,toy_ap"
@@ -35,18 +35,31 @@ def _fmt(x) -> str:
     return repr(float(x)) if x is not None else ""
 
 
-class MetricsWriter:
-    """Append-only CSV with the pinned header; one writer per run directory."""
+class DuplicateRunError(ValueError):
+    """The out-dir's metrics.csv already holds rows for the run's name."""
 
-    def __init__(self, out_dir: str):
+
+class MetricsWriter:
+    """Append-only CSV with the pinned header, shared by the runs of one
+    directory; each writer appends the rows of one run, whose name must be
+    new to the file."""
+
+    def __init__(self, out_dir: str, run: str):
         os.makedirs(out_dir, exist_ok=True)
         self.path = os.path.join(out_dir, "metrics.csv")
+        self.run = run
         if not os.path.exists(self.path):
             with open(self.path, "w") as f:
                 f.write(METRICS_HEADER + "\n")
+            return
+        with open(self.path) as f:
+            if any(line.split(",", 1)[0] == run for line in f.read().splitlines()[1:]):
+                raise DuplicateRunError(
+                    f"{self.path} already has rows for run {run!r}: "
+                    "pick another --run-name or --out-dir")
 
-    def row(self, run: str, it: int, det, idf, reg, dis, ap=None) -> None:
-        cells = [run, str(it), _fmt(det), _fmt(idf), _fmt(reg), _fmt(dis), _fmt(ap)]
+    def row(self, it: int, det, idf, reg, dis, ap=None) -> None:
+        cells = [self.run, str(it), _fmt(det), _fmt(idf), _fmt(reg), _fmt(dis), _fmt(ap)]
         with open(self.path, "a") as f:
             f.write(",".join(cells) + "\n")
 
@@ -110,7 +123,7 @@ def strip_meta(state: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 def train_teacher(cfg: ExperimentConfig, out_dir: str, run_name: str = "teacher") -> RunResult:
     """Detection-only pretraining; saves `<out_dir>/teacher.ckpt` with the
     geometry fields embedded so distillation can validate compatibility."""
-    metrics = MetricsWriter(out_dir)
+    metrics = MetricsWriter(out_dir, run_name)
     group = ParamGroup("teacher")
     teacher = ToyDetector(cfg.teacher_config(), group, np.random.default_rng((cfg.seed, 10)))
     opt = MomentumSGD(group, cfg.lr_teacher, cfg.momentum, cfg.weight_decay)
@@ -127,9 +140,9 @@ def train_teacher(cfg: ExperimentConfig, out_dir: str, run_name: str = "teacher"
         T.backward(loss)
         opt.step()
         if it % LOG_EVERY == 0:
-            metrics.row(run_name, it, last, 0.0, 0.0, 0.0)
+            metrics.row(it, last, 0.0, 0.0, 0.0)
     ap = evaluate_toy_ap(teacher, heldout_scenes(cfg))
-    metrics.row(run_name, cfg.teacher_iters, last, 0.0, 0.0, 0.0, ap)
+    metrics.row(cfg.teacher_iters, last, 0.0, 0.0, 0.0, ap)
     path = os.path.join(out_dir, "teacher.ckpt")
     save_checkpoint(path, group_state(group) | _teacher_meta(cfg))
     return RunResult(run_name, ap, {"loss_det": last}, path)
@@ -238,8 +251,8 @@ def substitute_masks(k: Knowledge, variant: str, flat: FlatPyramid, instances,
     if variant == "icd":
         return k
     row = baseline_mask_row(variant, flat, instances, image_size)
-    fixed = T.constant(np.tile(row, (n_rows, 1)))
-    return Knowledge(masks=[fixed] * k.num_heads, values=k.values)
+    fixed = T.constant(np.broadcast_to(row, (k.num_heads, n_rows, row.size)))
+    return Knowledge(masks=fixed, values=k.values)
 
 
 def decode_conditions(cfg: ExperimentConfig, sys: System, image: Tensor, conds,
@@ -280,9 +293,10 @@ def scene_losses(cfg: ExperimentConfig, sys: System, scene: Scene, stats,
 
 
 def dataset_stats(cfg: ExperimentConfig):
-    scenes = [train_scene(cfg, i) for i in range(cfg.stats_scenes)]
-    return compute_stats([s.instances for s in scenes], cfg.num_classes,
-                         cfg.image_size, cfg.image_size)
+    """Instance statistics of the first stats_scenes training scenes."""
+    spec = cfg.scene_spec()
+    reals = [scene_instances(spec, (cfg.seed, 1, i)) for i in range(cfg.stats_scenes)]
+    return compute_stats(reals, cfg.num_classes, cfg.image_size, cfg.image_size)
 
 
 def distill_student(cfg: ExperimentConfig, teacher_state: dict, out_dir: str,
@@ -290,8 +304,8 @@ def distill_student(cfg: ExperimentConfig, teacher_state: dict, out_dir: str,
     """The joint loop: every iteration trains the decoder/aux heads with the
     auxiliary losses and the student with detection (+ distillation after
     warm-up, when lam is nonzero)."""
+    metrics = MetricsWriter(out_dir, run_name)
     sys = load_system(cfg, teacher_state)
-    metrics = MetricsWriter(out_dir)
     if cfg.inherit:
         inherit_parameters(sys.student, sys.teacher)
     opt_student = MomentumSGD(sys.groups["student"], cfg.lr_student, cfg.momentum,
@@ -305,7 +319,7 @@ def distill_student(cfg: ExperimentConfig, teacher_state: dict, out_dir: str,
     final = {"loss_det": 0.0, "loss_aux_idf": 0.0, "loss_aux_reg": 0.0, "loss_distill": 0.0}
 
     def log(it: int, ap=None) -> None:
-        metrics.row(run_name, it, *final.values(), ap)
+        metrics.row(it, *final.values(), ap)
 
     for it in range(cfg.student_iters):
         active = cfg.lam != 0.0 and it >= cfg.warmup_iters

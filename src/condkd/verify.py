@@ -120,15 +120,20 @@ def gradcheck_ops(seed: int = 0, tol: float = 1e-4) -> GradCheckReport:
         # branch of their backward is checked
         ("linear", _param(rng, (22,)),
          lambda p, c=w(3, 2): T.mul(T.linear(*_pieces(p, (3, 4), (2, 4), (2,))), c)),
+        ("linear_heads", _param(rng, (32,)),
+         lambda p, c=w(3, 4): T.mul(T.linear(*_pieces(p, (3, 4), (4, 4), (4,)), heads=2), c)),
         ("mlp", _param(rng, (79,)),
          lambda p, c=w(3, 2): T.mul(T.mlp(*_mlp_pieces(p, (4, 5, 5, 2), 3)), c)),
         ("conv2d", _param(rng, (89,)),
          lambda p, c=w(1, 2, 2, 3): T.mul(
              T.conv2d(*_pieces(p, (1, 4, 4, 2), (3, 18), (3,)), kernel=3, stride=2), c)),
         ("scaled_scores", _param(rng, (32,)),
-         lambda p, c=w(3, 5): T.mul(T.scaled_scores(*_pieces(p, (3, 4), (5, 4)), 0.5), c)),
-        ("weighted_row_mse", _param(rng, (4, 5)),
-         lambda x, m=rng.uniform(0.0, 1.0, (3, 4)), t=rng.normal(size=(4, 5)):
+         lambda p, c=w(2, 3, 5): T.mul(
+             T.scaled_scores(*_pieces(p, (3, 4), (5, 4)), 0.5, heads=2), c)),
+        ("attend", _param(rng, (48,)),
+         lambda p, c=w(3, 6): T.mul(T.attend(*_pieces(p, (2, 3, 4), (4, 6))), c)),
+        ("weighted_row_mse", _param(rng, (4, 6)),
+         lambda x, m=rng.uniform(0.0, 1.0, (2, 3, 4)), t=rng.normal(size=(4, 6)):
          T.weighted_row_mse(m, t, x)),
     ]
 

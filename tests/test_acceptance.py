@@ -13,7 +13,7 @@ records. Anything else (any edit under src/condkd, a deleted or altered
 file) makes the fixture clear the directory and rebuild; commit the rebuilt
 directory with the code change that caused it.
 `test_committed_cache_matches_code` fails at once when the committed cache
-does not match the current code. A rebuild took 29-34 min on a 2-vCPU box;
+does not match the current code. A rebuild took 11-34 min on a 2-vCPU box;
 on the same machine it reproduces checkpoints and metrics.csv bit for bit. All other criteria, and c09's reduced-iteration
 rerun, recompute from scratch on every run."""
 
@@ -302,10 +302,10 @@ def test_c03_attention_masks_are_probability_rows():
         scene = tr.train_scene(cfg, 0)
         _, _, _, k = tr.decode_conditions(cfg, sys_, scene.image, scene.instances,
                                           np.random.default_rng((i, 99)))
-        for m in k.masks:
-            worst_dev = max(worst_dev, float(np.abs(m.data.sum(axis=-1) - 1.0).max()))
-            worst_neg = min(worst_neg, float(m.data.min()))
-            rows += m.data.shape[0]
+        m = k.masks.data
+        worst_dev = max(worst_dev, float(np.abs(m.sum(axis=-1) - 1.0).max()))
+        worst_neg = min(worst_neg, float(m.min()))
+        rows += m.shape[0] * m.shape[1]
     ok = worst_dev < 1e-6 and worst_neg >= 0.0
     _line(3, ok, f"1000 configurations, {rows} mask rows: max |sum-1|="
                  f"{worst_dev:.2e} < 1e-6, min entry={worst_neg:.2e} >= 0")
@@ -319,7 +319,7 @@ def test_c04_loss_identities():
                                             np.random.default_rng(5))
 
     # equal features: student values are the teacher values
-    twins = [T.constant(v.data.copy()) for v in k.values]
+    twins = T.constant(k.values.data.copy())
     zero = distill_loss(k, twins, cset.flags).item()
 
     # uniform masks against the hand-reduced mean-over-positions formula
@@ -333,8 +333,9 @@ def test_c04_loss_identities():
         mu = x.mean(axis=-1, keepdims=True)
         return (x - mu) / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
 
-    want = np.mean([((norm(s.data) - norm(t.data)) ** 2).mean(axis=-1).mean()
-                    for s, t in zip(s_values, k.values)])
+    want = np.mean([((norm(s) - norm(t)) ** 2).mean(axis=-1).mean()
+                    for s, t in zip(np.split(s_values.data, k.num_heads, axis=-1),
+                                    np.split(k.values.data, k.num_heads, axis=-1))])
     uniform_dev = abs(got - want)
 
     # ltrb identity on pixel-aligned boxes with jittered reference centers
@@ -487,7 +488,7 @@ def test_c10_checkpoint_and_heatmap_round_trips(cache, tmp_path):
     _, flat, _, k = tr.decode_conditions(cfg, sys_, scene.image, scene.instances,
                                          np.random.default_rng((cfg.seed, 30)))
     paths = export_attention(k, flat, 0, 0, str(tmp_path / "attn"))
-    row = k.masks[0].data[0]
+    row = k.masks.data[0, 0]
     heat_ok, offset = True, 0
     for level, (h, w) in enumerate(flat.shapes):
         seg = row[offset:offset + h * w].reshape(h, w)

@@ -74,6 +74,16 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="version 99"):
             load_checkpoint(path)
 
+    def test_version_1_file_is_rejected(self, tmp_path):
+        # version 1 held one f_k/f_v/f_q projection per decoder head
+        path = tmp_path / "v1.ckpt"
+        save_checkpoint(str(path), {"decoder.dec0.h0.f_k.w": np.zeros((2, 4))})
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = struct.pack("<I", 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="version 1 at offset 4"):
+            load_checkpoint(str(path))
+
     @pytest.mark.parametrize("keep", [2, 10, 13, 20, 40])
     def test_truncation_reports_offset(self, tmp_path, keep):
         path = str(tmp_path / "t.ckpt")

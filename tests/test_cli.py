@@ -147,7 +147,7 @@ class TestExportAttn:
         scene = heldout_scenes(cfg)[0]
         _, flat, _, k = decode_conditions(cfg, sys_, scene.image, scene.instances,
                                           np.random.default_rng((cfg.seed, 30)))
-        row, offset = k.masks[1].data[0], 0
+        row, offset = k.masks.data[1, 0], 0
         for level, (h, w) in enumerate(flat.shapes):
             seg = row[offset:offset + h * w].reshape(h, w)
             offset += h * w
@@ -183,11 +183,29 @@ class TestVerificationCommands:
         assert cli.cli_main(["gradcheck"]) == 1
 
 
-def test_console_script_help():
-    # pytest's `pythonpath` setting does not reach a subprocess
+def _package_env(**overrides):
+    """The environment for a subprocess that imports condkd: pytest's
+    `pythonpath` setting does not reach it."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return os.environ | {"PYTHONPATH": path} | overrides
+
+
+def test_console_script_help():
     out = subprocess.run([sys.executable, "-m", "condkd.cli", "--help"],
-                         capture_output=True, text=True, env=os.environ | {"PYTHONPATH": path})
+                         capture_output=True, text=True, env=_package_env())
     assert out.returncode == 0
     assert "routing-check" in out.stdout
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, want", [({}, "1 1 1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3 1 1")])
+def test_import_pins_blas_unless_set(preset, want):
+    env = {k: v for k, v in _package_env(**preset).items()
+           if k not in BLAS_VARS or k in preset}
+    probe = f"import os, condkd; print(*(os.environ[v] for v in {BLAS_VARS!r}))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == want.split()

@@ -69,9 +69,8 @@ class TestKeys:
         zero_linear(layer.f_pe)
         flat = teacher_flat(cfg, sys)
         keys = compute_keys(layer, flat)
-        for f_k, k in zip(layer.f_k, keys):
-            want = flat.A.data @ f_k.weight.data.T + f_k.bias.data
-            np.testing.assert_allclose(k.data, want, rtol=0, atol=1e-12)
+        want = flat.A.data @ layer.f_k.weight.data.T + layer.f_k.bias.data
+        np.testing.assert_allclose(keys.data, want, rtol=0, atol=1e-12)
 
     def test_zero_features_keys_see_only_positions(self):
         _, sys = mini_system(2)
@@ -80,9 +79,8 @@ class TestKeys:
         flat = hand_flat(np.zeros((5, 8)), pos=pos)
         keys = compute_keys(layer, flat)
         pe = pos @ layer.f_pe.weight.data.T + layer.f_pe.bias.data
-        for f_k, k in zip(layer.f_k, keys):
-            want = pe @ f_k.weight.data.T + f_k.bias.data
-            np.testing.assert_allclose(k.data, want, rtol=0, atol=1e-12)
+        want = pe @ layer.f_k.weight.data.T + layer.f_k.bias.data
+        np.testing.assert_allclose(keys.data, want, rtol=0, atol=1e-12)
 
     def test_key_path_gradients_match_finite_differences(self):
         _, sys = mini_system(3)
@@ -90,13 +88,13 @@ class TestKeys:
         rng = np.random.default_rng(7)
         pos = rng.normal(size=(5, 6))
         a = rng.normal(size=(5, 8))
-        w = rng.normal(size=(5, 4))
+        w = rng.normal(size=(5, 8))
 
         def f():
             keys = compute_keys(layer, hand_flat(a, pos=pos))
-            return T.tsum(T.mul(keys[0], T.constant(w)))
+            return T.tsum(T.mul(keys, T.constant(w)))
 
-        params = {"f_k.w": layer.f_k[0].weight, "f_k.b": layer.f_k[0].bias,
+        params = {"f_k.w": layer.f_k.weight, "f_k.b": layer.f_k.bias,
                   "f_pe.w": layer.f_pe.weight, "f_pe.b": layer.f_pe.bias}
         report = finite_diff_check(f, params)
         assert report.passed, str(report)
@@ -106,20 +104,18 @@ class TestValues:
     def test_identity_projection_returns_features(self):
         _, sys = mini_system(4, heads=1)
         layer = sys.decoder.layers[0]
-        identity_linear(layer.f_v[0])
+        identity_linear(layer.f_v)
         a = np.random.default_rng(1).normal(size=(5, 8))
         vals = compute_values(layer, hand_flat(a))
-        np.testing.assert_array_equal(vals[0].data, a)
+        np.testing.assert_array_equal(vals.data, a)
 
     def test_zero_projection_returns_bias_rows(self):
         _, sys = mini_system(5)
         layer = sys.decoder.layers[0]
-        for f_v in layer.f_v:
-            f_v.bias.data[...] = np.arange(layer.head_dim, dtype=float)
-            f_v.weight.data[...] = 0.0
+        layer.f_v.bias.data[...] = np.tile(np.arange(layer.head_dim, dtype=float), 2)
+        layer.f_v.weight.data[...] = 0.0
         vals = compute_values(layer, hand_flat(np.ones((5, 8))))
-        for v in vals:
-            np.testing.assert_array_equal(v.data, np.tile(np.arange(4.0), (5, 1)))
+        np.testing.assert_array_equal(vals.data, np.tile(np.arange(4.0), (5, 2)))
 
     def test_detached_weights_same_forward_value(self):
         cfg, sys = mini_system(6)
@@ -127,17 +123,16 @@ class TestValues:
         flat = teacher_flat(cfg, sys)
         plain = compute_values(layer, flat, detach_weights=False)
         frozen = compute_values(layer, flat, detach_weights=True)
-        for p, q in zip(plain, frozen):
-            np.testing.assert_array_equal(p.data, q.data)
+        np.testing.assert_array_equal(plain.data, frozen.data)
 
     def test_detached_weights_route_gradient_to_features_only(self):
         _, sys = mini_system(7)
         layer = sys.decoder.layers[0]
         a = Tensor(np.random.default_rng(2).normal(size=(5, 8)), requires_grad=True)
         vals = compute_values(layer, hand_flat(a), detach_weights=True)
-        T.backward(T.tsum(vals[0]))
-        assert np.all(layer.f_v[0].weight.grad == 0.0)
-        assert np.all(layer.f_v[0].bias.grad == 0.0)
+        T.backward(T.tsum(vals))
+        assert np.all(layer.f_v.weight.grad == 0.0)
+        assert np.all(layer.f_v.bias.grad == 0.0)
         assert np.abs(a.grad).max() > 0.0
 
     def test_same_projection_on_equal_features_gives_equal_values(self):
@@ -146,28 +141,25 @@ class TestValues:
         a = np.random.default_rng(3).normal(size=(5, 8))
         teacher_v = compute_values(layer, hand_flat(a.copy()))
         student_v = compute_values(layer, hand_flat(a.copy()), detach_weights=True)
-        for tv, sv in zip(teacher_v, student_v):
-            np.testing.assert_array_equal(tv.data, sv.data)
+        np.testing.assert_array_equal(teacher_v.data, student_v.data)
 
 
 class TestMasks:
     def test_constant_keys_give_uniform_masks(self):
         cfg, sys = mini_system(9)
         layer = sys.decoder.layers[0]
-        for f_k in layer.f_k:
-            f_k.weight.data[...] = 0.0  # keys collapse to the bias row
+        layer.f_k.weight.data[...] = 0.0  # keys collapse to the bias row
         zero_linear(layer.f_pe)
         flat = teacher_flat(cfg, sys)
         queries = T.constant(np.random.default_rng(4).normal(size=(3, 8)))
         masks = attention_masks(layer, compute_keys(layer, flat), queries)
-        for m in masks:
-            np.testing.assert_allclose(m.data, np.full((3, 5), 0.2), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(masks.data, np.full((2, 3, 5), 0.2), rtol=0, atol=1e-12)
 
     def test_hand_computed_softmax_single_head(self):
         group = ParamGroup("decoder")
         layer = DecoderLayer(4, 1, 6, group, np.random.default_rng(0), name="d")
-        identity_linear(layer.f_q[0])
-        identity_linear(layer.f_k[0])
+        identity_linear(layer.f_q)
+        identity_linear(layer.f_k)
         zero_linear(layer.f_pe)
         a = np.array([[1.0, 0.0, 0.0, 0.0],
                       [0.0, 2.0, 0.0, 0.0],
@@ -178,28 +170,27 @@ class TestMasks:
         logits = (q @ a.T / 2.0)[0]
         e = [math.exp(v - max(logits)) for v in logits]
         want = np.array([v / sum(e) for v in e])
-        np.testing.assert_allclose(masks[0].data[0], want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(masks.data[0, 0], want, rtol=1e-12, atol=0)
 
     def test_dominant_key_soaks_up_the_mass(self):
         group = ParamGroup("decoder")
         layer = DecoderLayer(4, 1, 6, group, np.random.default_rng(0), name="d")
-        identity_linear(layer.f_q[0])
-        identity_linear(layer.f_k[0])
+        identity_linear(layer.f_q)
+        identity_linear(layer.f_k)
         zero_linear(layer.f_pe)
         a = np.zeros((5, 4))
         a[3] = [100.0, 100.0, 100.0, 100.0]
         masks = attention_masks(layer, compute_keys(layer, hand_flat(a)),
                                 T.constant(np.ones((1, 4))))
-        assert masks[0].data[0, 3] > 1.0 - 1e-12
-        np.testing.assert_allclose(masks[0].data[0].sum(), 1.0, rtol=0, atol=1e-12)
+        assert masks.data[0, 0, 3] > 1.0 - 1e-12
+        np.testing.assert_allclose(masks.data[0, 0].sum(), 1.0, rtol=0, atol=1e-12)
 
     def test_mask_rows_are_probability_distributions(self):
         for seed in range(20):
             cfg, sys = mini_system(seed)
             _, _, _, k = decode_fakes(cfg, sys, 3, np.random.default_rng(seed))
-            for m in k.masks:
-                assert np.all(m.data >= 0.0)
-                np.testing.assert_allclose(m.data.sum(axis=-1), 1.0, rtol=0, atol=1e-9)
+            assert np.all(k.masks.data >= 0.0)
+            np.testing.assert_allclose(k.masks.data.sum(axis=-1), 1.0, rtol=0, atol=1e-9)
 
 
 class TestDecodeKnowledge:
@@ -209,8 +200,8 @@ class TestDecodeKnowledge:
         queries = T.constant(np.random.default_rng(5).normal(size=(4, 8)))
         k = decode_knowledge(sys.decoder.layers[0], flat, queries)
         assert k.num_heads == 2
-        assert all(m.shape == (4, 5) for m in k.masks)
-        assert all(v.shape == (5, 4) for v in k.values)
+        assert k.masks.shape == (2, 4, 5)
+        assert k.values.shape == (5, 8)
 
     def test_repeated_decode_is_bit_identical(self):
         cfg, sys = mini_system(11)
@@ -218,8 +209,8 @@ class TestDecodeKnowledge:
         queries = T.constant(np.random.default_rng(6).normal(size=(4, 8)))
         k1 = decode_knowledge(sys.decoder.layers[0], flat, queries)
         k2 = decode_knowledge(sys.decoder.layers[0], flat, queries)
-        for a, b in zip(k1.masks + k1.values, k2.masks + k2.values):
-            np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(k1.masks.data, k2.masks.data)
+        np.testing.assert_array_equal(k1.values.data, k2.values.data)
 
 
 class TestAggregate:
@@ -234,8 +225,8 @@ class TestAggregate:
         onehot = np.zeros((2, 5))
         onehot[0, 3] = 1.0
         onehot[1, 1] = 1.0
-        k = Knowledge(masks=[T.constant(onehot), T.constant(onehot)],
-                      values=[T.constant(v0), T.constant(v1)])
+        k = Knowledge(masks=T.constant(np.stack([onehot, onehot])),
+                      values=T.constant(np.concatenate([v0, v1], axis=-1)))
         g = aggregate(k, T.constant(np.zeros((2, 8))), layer)
         want = manual_layernorm(np.concatenate(
             [np.stack([v0[3], v0[1]]), np.stack([v1[3], v1[1]])], axis=-1))
@@ -248,8 +239,8 @@ class TestAggregate:
         for lin in (layer.ffn.l1, layer.ffn.l2, layer.ffn.l3):
             zero_linear(lin)
         q = np.random.default_rng(8).normal(size=(3, 8))
-        k = Knowledge(masks=[T.constant(np.full((3, 5), 0.2))] * 2,
-                      values=[T.constant(np.ones((5, 4)))] * 2)
+        k = Knowledge(masks=T.constant(np.full((2, 3, 5), 0.2)),
+                      values=T.constant(np.ones((5, 8))))
         g = aggregate(k, T.constant(q), layer)
         np.testing.assert_allclose(g.data, manual_layernorm(q), rtol=0, atol=1e-12)
 
@@ -257,9 +248,9 @@ class TestAggregate:
         # m_j V_j is a convex combination of value rows, columnwise bounded
         cfg, sys = mini_system(14)
         _, _, _, k = decode_fakes(cfg, sys, 4, np.random.default_rng(9))
-        for m, v in zip(k.masks, k.values):
-            mixed = m.data @ v.data
-            lo, hi = v.data.min(axis=0), v.data.max(axis=0)
+        for m, v in zip(k.masks.data, np.split(k.values.data, k.num_heads, axis=-1)):
+            mixed = m @ v
+            lo, hi = v.min(axis=0), v.max(axis=0)
             assert np.all(mixed >= lo - 1e-12)
             assert np.all(mixed <= hi + 1e-12)
 
@@ -285,26 +276,26 @@ class TestHeadIndependence:
         flat = teacher_flat(cfg, sys)
         queries = T.constant(np.random.default_rng(11).normal(size=(3, 8)))
         before = decode_knowledge(layer, flat, queries)
-        for lin in (layer.f_k[0], layer.f_v[0], layer.f_q[0]):
-            lin.weight.data[...] *= -3.0
+        for lin in (layer.f_k, layer.f_v, layer.f_q):
+            lin.weight.data[:4] *= -3.0  # head 0's rows
         after = decode_knowledge(layer, flat, queries)
-        assert np.any(before.masks[0].data != after.masks[0].data)
-        assert np.any(before.values[0].data != after.values[0].data)
-        np.testing.assert_array_equal(before.masks[1].data, after.masks[1].data)
-        np.testing.assert_array_equal(before.values[1].data, after.values[1].data)
+        assert np.any(before.masks.data[0] != after.masks.data[0])
+        assert np.any(before.values.data[:, :4] != after.values.data[:, :4])
+        np.testing.assert_array_equal(before.masks.data[1], after.masks.data[1])
+        np.testing.assert_array_equal(before.values.data[:, 4:], after.values.data[:, 4:])
 
 
 class TestCascade:
     def test_depth_two_feeds_aggregate_back_as_queries(self):
         cfg, sys = mini_system(17, depth=2)
         names = dict(sys.groups["decoder"].named())
-        assert "dec0.h0.f_k.w" in names and "dec1.h0.f_k.w" in names
+        assert "dec0.f_k.w" in names and "dec1.f_k.w" in names
         flat = teacher_flat(cfg, sys)
         queries = T.constant(np.random.default_rng(12).normal(size=(3, 8)))
         g, k_final = sys.decoder.decode(flat, queries)
         assert g.shape == (3, 8)
         k_first = decode_knowledge(sys.decoder.layers[0], flat, queries)
-        assert np.any(k_final.masks[0].data != k_first.masks[0].data)
+        assert np.any(k_final.masks.data != k_first.masks.data)
 
     def test_bad_construction_is_rejected(self):
         group = ParamGroup("decoder")
@@ -321,5 +312,4 @@ class TestStudentValues:
         a = np.random.default_rng(13).normal(size=(5, 8))
         sv = sys.decoder.student_values(hand_flat(a))
         tv = compute_values(sys.decoder.layers[-1], hand_flat(a))
-        for s, t in zip(sv, tv):
-            np.testing.assert_array_equal(s.data, t.data)
+        np.testing.assert_array_equal(sv.data, tv.data)

@@ -24,9 +24,9 @@ def two_level_flat():
 
 
 def knowledge_for(mask_rows):
-    m = T.constant(np.asarray(mask_rows, dtype=float))
-    v = T.constant(np.zeros((m.shape[1], 4)))
-    return Knowledge(masks=[m], values=[v])
+    m = T.constant(np.asarray(mask_rows, dtype=float)[None])
+    v = T.constant(np.zeros((m.shape[2], 4)))
+    return Knowledge(masks=m, values=v)
 
 
 class TestPgmIo:

@@ -138,9 +138,13 @@ class TestAuxLoss:
             aux_loss(T.constant(np.zeros((3, 8))), cset, sys.aux)
 
 
+def heads_side_by_side(values):
+    """Per-head [L x d] value arrays as one [L x M*d] constant."""
+    return T.constant(np.concatenate(values, axis=-1))
+
+
 def hand_knowledge(masks, values):
-    return Knowledge(masks=[T.constant(m) for m in masks],
-                     values=[T.constant(v) for v in values])
+    return Knowledge(masks=T.constant(np.stack(masks)), values=heads_side_by_side(values))
 
 
 class TestDistillLoss:
@@ -149,7 +153,7 @@ class TestDistillLoss:
         flat = flatten_pyramid(sys.teacher.backbone_forward(train_scene(cfg, 3).image),
                                cfg.pos_dim)
         layer = sys.decoder.layers[-1]
-        k = Knowledge(masks=[T.constant(np.full((2, 5), 0.2))] * 2,
+        k = Knowledge(masks=T.constant(np.full((2, 2, 5), 0.2)),
                       values=compute_values(layer, flat))
         sv = sys.decoder.student_values(flat)  # same features, same projections
         loss = distill_loss(k, sv, np.array([1.0, 1.0]))
@@ -161,7 +165,7 @@ class TestDistillLoss:
         v_s = [rng.normal(size=(5, 4)) for _ in range(2)]
         masks = [np.full((3, 5), 0.2)] * 2
         k = hand_knowledge(masks, v_t)
-        loss = distill_loss(k, [T.constant(v) for v in v_s], np.array([1.0, 1.0, 0.0]))
+        loss = distill_loss(k, heads_side_by_side(v_s), np.array([1.0, 1.0, 0.0]))
 
         def norm(x):
             mu = x.mean(axis=-1, keepdims=True)
@@ -174,7 +178,7 @@ class TestDistillLoss:
     def test_fake_mask_rows_are_ignored(self):
         rng = np.random.default_rng(2)
         v_t = [rng.normal(size=(5, 4))]
-        v_s = [T.constant(rng.normal(size=(5, 4)))]
+        v_s = heads_side_by_side([rng.normal(size=(5, 4))])
         masks = rng.dirichlet(np.ones(5), size=3)
         flags = np.array([1.0, 0.0, 1.0])
         base = distill_loss(hand_knowledge([masks], v_t), v_s, flags)
@@ -190,28 +194,29 @@ class TestDistillLoss:
         masks = [rng.dirichlet(np.ones(5), size=4) for _ in range(2)]
         flags = np.array([1.0, 0.0, 1.0, 1.0])
         base = distill_loss(hand_knowledge(masks, v_t),
-                            [T.constant(v) for v in v_s], flags).item()
+                            heads_side_by_side(v_s), flags).item()
         perm = np.array([2, 0, 3, 1])
         shuffled = distill_loss(hand_knowledge([m[perm] for m in masks], v_t),
-                                [T.constant(v) for v in v_s], flags[perm]).item()
+                                heads_side_by_side(v_s), flags[perm]).item()
         assert shuffled == pytest.approx(base, rel=1e-12)
         swapped = distill_loss(hand_knowledge(masks[::-1], v_t[::-1]),
-                               [T.constant(v) for v in v_s[::-1]], flags).item()
+                               heads_side_by_side(v_s[::-1]), flags).item()
         assert swapped == pytest.approx(base, rel=1e-12)
 
     def test_mismatched_heads_and_shapes_are_rejected(self):
         rng = np.random.default_rng(4)
-        k = hand_knowledge([rng.normal(size=(2, 5))], [rng.normal(size=(5, 4))])
+        k = hand_knowledge([rng.normal(size=(2, 5))] * 3, [rng.normal(size=(5, 4))])
         with pytest.raises(ValueError, match="heads"):
-            distill_loss(k, [T.constant(np.zeros((5, 4)))] * 2, np.ones(2))
+            distill_loss(k, T.constant(np.zeros((5, 4))), np.ones(2))
+        k = hand_knowledge([rng.normal(size=(2, 5))], [rng.normal(size=(5, 4))])
         with pytest.raises(ValueError, match="values"):
-            distill_loss(k, [T.constant(np.zeros((5, 3)))], np.ones(2))
+            distill_loss(k, T.constant(np.zeros((5, 3))), np.ones(2))
 
     def test_no_real_instances_warns_and_returns_zero(self):
         rng = np.random.default_rng(5)
         k = hand_knowledge([rng.dirichlet(np.ones(5), size=2)], [rng.normal(size=(5, 4))])
         with pytest.warns(UserWarning, match="no real instances"):
-            loss = distill_loss(k, [T.constant(rng.normal(size=(5, 4)))], np.zeros(2))
+            loss = distill_loss(k, T.constant(rng.normal(size=(5, 4))), np.zeros(2))
         assert loss.item() == 0.0
 
 
@@ -269,7 +274,7 @@ class TestComposedGradients:
             "student.head_out.w": names["head.out.w"],
             "student.lat8.w": names["lateral.s8.w"],
             "student.conv1.w": names["backbone.conv1.w"],
-            "decoder.f_q.h0": dict(sys.groups["decoder"].named())["dec0.h0.f_q.w"],
+            "decoder.f_q": dict(sys.groups["decoder"].named())["dec0.f_q.w"],
             "decoder.f_pe": dict(sys.groups["decoder"].named())["dec0.f_pe.w"],
             "aux.f_reg.w": dict(sys.groups["aux"].named())["aux.f_reg.w"],
         }

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from condkd.scenes import Scene, SceneSpec, _paint, class_colors, generate_dataset, generate_scene
+from condkd.scenes import (Scene, SceneSpec, _paint, class_colors, generate_dataset,
+                           generate_scene, scene_instances)
 
 
 class TestDeterminism:
@@ -21,6 +22,11 @@ class TestDeterminism:
         a = generate_scene(spec, (7, 3))
         b = generate_scene(spec, (7, 4))
         assert np.any(a.image.data != b.image.data)
+
+    def test_instances_without_rendering_match_the_scene(self):
+        spec = SceneSpec()
+        for i in range(50):
+            assert scene_instances(spec, (5, 1, i)) == generate_scene(spec, (5, 1, i)).instances
 
     def test_dataset_is_prefix_stable(self):
         spec = SceneSpec()

@@ -5,6 +5,7 @@ central finite differences computed inside the test; nothing is copied from
 the implementation under test.
 """
 
+import functools
 import math
 import zlib
 
@@ -496,44 +497,112 @@ def test_mlp_leaves_frozen_layers_without_gradient():
         T.mlp(x, [(Tensor(np.zeros((5, 4))), Tensor(np.zeros(5)))])
 
 
-def test_scaled_scores_matches_composed_form_bit_for_bit():
-    def build(rng, fused):
-        q = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
-        k = Tensor(rng.normal(size=(9, 4)), requires_grad=True)
-        scale = 1.0 / np.sqrt(4)
-        y = (T.scaled_scores(T.relu(q), k, scale) if fused
-             else T.matmul(T.relu(q), T.transpose(k)) * scale)
-        backward(scalar_loss(T.softmax(y, axis=-1)))
-        return y, (q, k)
+def _head_leaves(rng, heads, shape):
+    """One gradient-requiring leaf per head, and the fused form's leaf: their
+    data placed side by side along the last axis."""
+    parts = [Tensor(rng.normal(size=shape), requires_grad=True) for _ in range(heads)]
+    return parts, Tensor(np.concatenate([p.data for p in parts], axis=-1), requires_grad=True)
 
-    fused, composed = _fused_and_composed(build, 12)
-    assert all(_same_bits(got, want) for got, want in zip(fused, composed))
+
+def _side_by_side(parts):
+    return np.concatenate([p.grad for p in parts], axis=-1)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4, 8])
+def test_linear_heads_matches_per_head_form_bit_for_bit(heads):
+    # x is an op output with a residual consumer, as the decoder's queries
+    # are: its gradient sums the residual's and then every head's share
+    rng = np.random.default_rng(heads)
+    x = rng.normal(size=(9, 16))
+    w = rng.normal(size=(16, 16))
+    b = rng.normal(size=16)
+    d = 16 // heads
+    x_f, w_f, b_f = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+    r = T.relu(x_f)
+    fused = T.add(r, T.linear(r, w_f, b_f, heads=heads))
+    backward(scalar_loss(T.mul(fused, fused)))
+
+    x_c = Tensor(x.copy(), requires_grad=True)
+    w_c = [Tensor(w[j * d:(j + 1) * d].copy(), requires_grad=True) for j in range(heads)]
+    b_c = [Tensor(b[j * d:(j + 1) * d].copy(), requires_grad=True) for j in range(heads)]
+    r = T.relu(x_c)
+    composed = T.add(r, T.concat([T.linear(r, wj, bj) for wj, bj in zip(w_c, b_c)], axis=-1))
+    backward(scalar_loss(T.mul(composed, composed)))
+
+    assert _same_bits(fused.data, composed.data)
+    assert _same_bits(x_f.grad, x_c.grad)
+    assert _same_bits(w_f.grad, np.concatenate([t.grad for t in w_c]))
+    assert _same_bits(b_f.grad, np.concatenate([t.grad for t in b_c]))
+
+
+def test_scaled_scores_matches_composed_form_bit_for_bit():
+    for heads in (1, 2, 4, 8):
+        rng = np.random.default_rng(12)
+        q_c, q_f = _head_leaves(rng, heads, (6, 32 // heads))
+        k_c, k_f = _head_leaves(rng, heads, (9, 32 // heads))
+        weights = rng.normal(size=(heads, 6, 9))
+        scale = 1.0 / np.sqrt(32 // heads)
+        fused = T.scaled_scores(T.relu(q_f), k_f, scale, heads=heads)
+        backward(T.tsum(T.mul(T.softmax(fused, axis=-1), weights)))
+        composed = [T.matmul(T.relu(q), T.transpose(k)) * scale for q, k in zip(q_c, k_c)]
+        backward(functools.reduce(T.add, [T.tsum(T.mul(T.softmax(y, axis=-1), wj))
+                                          for y, wj in zip(composed, weights)]))
+        assert _same_bits(fused.data, np.stack([y.data for y in composed]))
+        assert _same_bits(q_f.grad, _side_by_side(q_c))
+        assert _same_bits(k_f.grad, _side_by_side(k_c))
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4, 8])
+def test_attend_matches_composed_form_bit_for_bit(heads):
+    rng = np.random.default_rng(13)
+    m_c = [Tensor(rng.normal(size=(5, 9)), requires_grad=True) for _ in range(heads)]
+    m_f = Tensor(np.stack([m.data for m in m_c]), requires_grad=True)
+    v_c, v_f = _head_leaves(rng, heads, (9, 32 // heads))
+    fused = T.attend(T.softmax(m_f, axis=-1), v_f)
+    backward(scalar_loss(T.mul(fused, fused)))
+    composed = T.concat([T.matmul(T.softmax(m, axis=-1), v) for m, v in zip(m_c, v_c)], axis=-1)
+    backward(scalar_loss(T.mul(composed, composed)))
+    assert _same_bits(fused.data, composed.data)
+    assert _same_bits(m_f.grad, np.stack([m.grad for m in m_c]))
+    assert _same_bits(v_f.grad, _side_by_side(v_c))
+
+
+def test_head_axis_ops_reject_widths_the_heads_do_not_divide():
+    with pytest.raises(ShapeError):
+        T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3))), Tensor(np.zeros(3)), heads=2)
+    with pytest.raises(ShapeError):
+        T.scaled_scores(Tensor(np.zeros((2, 6))), Tensor(np.zeros((3, 6))), 1.0, heads=4)
+    with pytest.raises(ShapeError):
+        T.attend(Tensor(np.zeros((4, 2, 3))), Tensor(np.zeros((3, 6))))
+    with pytest.raises(ShapeError):
+        T.weighted_row_mse(np.zeros((4, 2, 3)), np.zeros((3, 6)), Tensor(np.zeros((3, 6))))
 
 
 @pytest.mark.parametrize("n_rows", [1, 3])
 def test_weighted_row_mse_matches_composed_form_bit_for_bit(n_rows):
-    def build(rng, fused):
-        x = Tensor(rng.normal(size=(10, 4)), requires_grad=True)
-        weights = rng.uniform(size=(n_rows, 10))
-        target = T.layernorm_pf(T.constant(rng.normal(size=(10, 4))))
-        v = T.relu(x)
-        if fused:
-            y = T.weighted_row_mse(weights, target.data, v)
-        else:
-            d = T.layernorm_pf(v) - target
+    for heads in (1, 2, 4, 8):
+        rng = np.random.default_rng(n_rows * heads)
+        x_c, x_f = _head_leaves(rng, heads, (10, 4))
+        weights = rng.uniform(size=(heads, n_rows, 10))
+        targets = [T.layernorm_pf(T.constant(rng.normal(size=(10, 4)))) for _ in range(heads)]
+        fused = T.weighted_row_mse(weights, np.concatenate([t.data for t in targets], axis=-1),
+                                   T.relu(x_f))
+        backward(T.mul(fused, fused))
+        terms = []
+        for x, wj, t in zip(x_c, weights, targets):
+            d = T.layernorm_pf(T.relu(x)) - t
             rows = T.tmean(T.mul(d, d), axis=-1)
-            y = T.tsum(T.mul(T.constant(weights), T.reshape(rows, (1, 10))))
-        backward(T.mul(y, y))
-        return y, (x,)
-
-    fused, composed = _fused_and_composed(build, n_rows)
-    assert all(_same_bits(got, want) for got, want in zip(fused, composed))
+            terms.append(T.tsum(T.mul(T.constant(wj), T.reshape(rows, (1, 10)))))
+        composed = functools.reduce(T.add, terms)
+        backward(T.mul(composed, composed))
+        assert _same_bits(fused.data, composed.data)
+        assert _same_bits(x_f.grad, _side_by_side(x_c))
 
 
 def test_weighted_row_mse_gradient():
     rng = np.random.default_rng(31)
-    x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-    weights, target = rng.uniform(size=(2, 5)), rng.normal(size=(5, 3))
+    x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    weights, target = rng.uniform(size=(2, 2, 5)), rng.normal(size=(5, 4))
     backward(T.weighted_row_mse(weights, target, x))
     fd = fd_grad(lambda: T.weighted_row_mse(weights, target, x).item(), x.data)
     assert np.max(np.abs(x.grad - fd)) < 1e-6

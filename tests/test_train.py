@@ -1,6 +1,7 @@
 """Training harness: teacher loop, distillation loop, baseline masks,
 ablation sweeps, and run-level determinism."""
 
+import itertools
 import os
 from dataclasses import replace
 
@@ -10,7 +11,9 @@ import pytest
 from condkd import tensor as T
 from condkd import train as tr
 from condkd.checkpoint import CheckpointError, group_state, load_checkpoint
+from condkd.config import ExperimentConfig
 from condkd.decoder import Knowledge
+from condkd.losses import total_loss
 from condkd.pyramid import ToyDetector, flatten_pyramid
 from condkd.tensor import ParamGroup
 from condkd.verify import mini_config
@@ -26,8 +29,8 @@ def read_csv(out_dir):
 class TestMetricsWriter:
     def test_header_written_once_across_writers(self, tmp_path):
         d = str(tmp_path)
-        tr.MetricsWriter(d).row("a", 0, 1.0, 0.0, 0.0, 0.0)
-        tr.MetricsWriter(d).row("b", 1, 2.0, 0.0, 0.0, 0.0)
+        tr.MetricsWriter(d, "a").row(0, 1.0, 0.0, 0.0, 0.0)
+        tr.MetricsWriter(d, "b").row(1, 2.0, 0.0, 0.0, 0.0)
         lines = read_csv(d)
         assert lines[0] == tr.METRICS_HEADER
         assert sum(1 for l in lines if l == tr.METRICS_HEADER) == 1
@@ -35,17 +38,37 @@ class TestMetricsWriter:
 
     def test_floats_round_trip_exactly(self, tmp_path):
         d = str(tmp_path)
-        tr.MetricsWriter(d).row("r", 3, 1.0 / 3.0, 0.1, 0.2, 0.3, 2.0 / 7.0)
+        tr.MetricsWriter(d, "r").row(3, 1.0 / 3.0, 0.1, 0.2, 0.3, 2.0 / 7.0)
         cells = read_csv(d)[1].split(",")
         assert float(cells[2]) == 1.0 / 3.0
         assert float(cells[6]) == 2.0 / 7.0
 
     def test_missing_ap_leaves_empty_cell(self, tmp_path):
         d = str(tmp_path)
-        tr.MetricsWriter(d).row("r", 0, 1.0, 0.0, 0.0, 0.0)
+        tr.MetricsWriter(d, "r").row(0, 1.0, 0.0, 0.0, 0.0)
         line = read_csv(d)[1]
         assert line.endswith(",")
         assert len(line.split(",")) == 7
+
+    def test_run_name_with_rows_already_is_rejected(self, tmp_path):
+        d = str(tmp_path)
+        tr.MetricsWriter(d, "r").row(0, 1.0, 0.0, 0.0, 0.0)
+        with pytest.raises(tr.DuplicateRunError, match="'r'"):
+            tr.MetricsWriter(d, "r")
+        tr.MetricsWriter(d, "r2")  # a prefix match is not a duplicate
+        assert len(read_csv(d)) == 2
+
+    def test_rerun_into_the_same_out_dir_fails_before_training(self, tmp_path, monkeypatch):
+        cfg = mini_config()
+        teacher = load_checkpoint(tr.train_teacher(cfg, str(tmp_path)).checkpoint)
+        tr.distill_student(cfg, teacher, str(tmp_path), run_name="d")
+        before = read_csv(str(tmp_path))
+        monkeypatch.setattr(tr, "MomentumSGD", None)  # every run builds its optimizer first
+        with pytest.raises(tr.DuplicateRunError):
+            tr.train_teacher(cfg, str(tmp_path))
+        with pytest.raises(tr.DuplicateRunError):
+            tr.distill_student(cfg, teacher, str(tmp_path), run_name="d")
+        assert read_csv(str(tmp_path)) == before
 
 
 class TestTrainTeacher:
@@ -226,12 +249,33 @@ class TestBaselineMasks:
             tr.baseline_mask_row("uniform", flat, scene.instances, cfg.image_size)
 
 
+def graph_nodes(loss):
+    seen, stack = set(), [loss]
+    while stack:
+        t = stack.pop()
+        if t.node is not None and id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(t.node.inputs)
+    return len(seen)
+
+
+class TestGraphSize:
+    def test_desk_scene_graph_has_the_same_size_at_every_head_count(self):
+        counts = []
+        for heads in (1, 4, 8):
+            cfg = ExperimentConfig(heads=heads)
+            sys_ = tr.build_system(cfg)
+            parts = tr.scene_losses(cfg, sys_, tr.train_scene(cfg, 0), tr.dataset_stats(cfg),
+                                    np.random.default_rng(0), distill_active=True)
+            counts.append(graph_nodes(total_loss(*parts, cfg.lam).total))
+        assert counts[0] == counts[1] == counts[2] <= 95, counts
+
+
 class TestSubstituteMasks:
     def make_knowledge(self, rows, cols, heads=2):
         rng = np.random.default_rng(7)
-        masks = [T.constant(rng.random((rows, cols))) for _ in range(heads)]
-        values = [T.constant(rng.normal(size=(cols, 4))) for _ in range(heads)]
-        return Knowledge(masks=masks, values=values)
+        return Knowledge(masks=T.constant(rng.random((heads, rows, cols))),
+                         values=T.constant(rng.normal(size=(cols, 4 * heads))))
 
     def test_icd_returns_same_object(self, mini_flat):
         cfg, scene, flat = mini_flat
@@ -243,10 +287,9 @@ class TestSubstituteMasks:
         k = self.make_knowledge(3, flat.num_rows)
         sub = tr.substitute_masks(k, "none", flat, scene.instances, 16, 3)
         assert sub.num_heads == k.num_heads
-        for j in range(k.num_heads):
-            np.testing.assert_array_equal(sub.masks[j].data, np.full((3, 5), 0.2))
-            assert sub.values[j] is k.values[j]
-        assert not sub.masks[0].requires_grad
+        np.testing.assert_array_equal(sub.masks.data, np.full((2, 3, 5), 0.2))
+        assert sub.values is k.values
+        assert not sub.masks.requires_grad
 
 
 class TestInherit:
@@ -302,10 +345,10 @@ class TestAblationRunners:
     def test_heads_runner_names(self, quick, mini_teacher, tmp_path):
         results = tr.sweep(quick, mini_teacher, str(tmp_path), *tr.ABLATIONS["heads"], (0,))
         assert [r.name for r in results] == ["heads-1-s0", "heads-4-s0", "heads-8-s0"]
-        # the override reaches the run: one value projection per head
-        state = load_checkpoint(results[-1].checkpoint)
-        assert sum(k.startswith("decoder.dec0.") and k.endswith(".f_v.w")
-                   for k in state) == 8
+        # the override reaches the run: every head count starts from the same
+        # query projection and trains it to a different one
+        f_q = [load_checkpoint(r.checkpoint)["decoder.dec0.f_q.w"] for r in results]
+        assert all(np.any(a != b) for a, b in itertools.combinations(f_q, 2))
 
     def test_aux_runner_covers_subtask_grid(self, quick, mini_teacher, tmp_path):
         results = tr.sweep(quick, mini_teacher, str(tmp_path), *tr.ABLATIONS["aux"], (1,))
