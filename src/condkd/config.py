@@ -59,6 +59,9 @@ class ExperimentConfig:
     noise_sigma: float = 0.05
 
     def __post_init__(self):
+        if tuple(self.strides) != (8, 16):
+            raise ValueError(f"strides must be (8, 16), the two levels the detector is "
+                             f"wired for; got {self.strides}")
         if self.feat_dim % self.heads:
             raise ValueError(f"heads {self.heads} must divide feat_dim {self.feat_dim}")
         if self.attention_variant not in ATTENTION_VARIANTS:

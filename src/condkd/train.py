@@ -4,12 +4,15 @@ ablation sweeps, all fully deterministic from the experiment config.
 Every run draws its scenes from a per-seed stream (seed, 1, i) and evaluates
 on a held-out stream (seed, 2, i), so runs that share a seed consume
 bit-identical data regardless of variant, and no training scene ever leaks
-into evaluation.
+into evaluation. Both training loops split each iteration's scenes across
+forked processes (`SceneSteps`); the results do not depend on how many.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
+import traceback
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,15 +84,156 @@ def heldout_scenes(cfg: ExperimentConfig) -> list[Scene]:
     return [generate_scene(spec, (cfg.seed, 2, i)) for i in range(cfg.eval_scenes)]
 
 
-def _batch(cfg: ExperimentConfig, it: int) -> list[Scene]:
-    return [train_scene(cfg, it * cfg.batch_size + j) for j in range(cfg.batch_size)]
+def _scene_mean(values) -> float:
+    """Mean of per-scene values: a left-to-right sum in scene order, then a
+    product with 1/B."""
+    acc = float(values[0])
+    for v in values[1:]:
+        acc += float(v)
+    return acc * (1.0 / len(values))
 
 
-def _mean(parts) -> Tensor:
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = T.add(acc, p)
-    return acc * (1.0 / len(parts))
+# -- scene-parallel steps ------------------------------------------------------
+
+
+class SceneWorkerError(RuntimeError):
+    """A scene worker raised; the message carries the worker's traceback."""
+
+
+def _process_count(batch_size: int) -> int:
+    """Processes a training step splits its scenes across: one per usable
+    CPU, at most one per scene."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, batch_size))
+
+
+class SceneSteps:
+    """The training step of one loop, its B scenes split into contiguous
+    blocks, one block per process; the calling process takes the first.
+
+    Every process calls ``scene(it, j, own)`` for j = 0..B-1 in order, so a
+    random stream the callback draws from advances the same everywhere. For
+    the process's own scenes the callback returns the scalar to
+    backpropagate and the scene's loss values; for the others it only makes
+    the draws. Each own scene is backpropagated alone into zeroed ``grad``
+    buffers, which stay private to the process, and then copied to that
+    scene's gradient slot of one shared mapping. The calling process adds
+    the slots left to right in scene order into the parameters' ``grad``,
+    so the sum does not depend on the process count. The parameter arrays
+    live in the same mapping while the loop runs, so an in-place optimizer
+    step reaches every process before its next iteration.
+
+    The workers are forked (POSIX only) at the first ``step``, so a loop of
+    zero iterations forks nothing. A worker leaves only through
+    ``os._exit``: on EOF of its pipe, or after it has sent the traceback of
+    an exception, which the caller's ``step`` raises as a
+    ``SceneWorkerError``. Leaving the ``with`` block closes the pipes and
+    reaps every worker.
+    """
+
+    def __init__(self, params: list[Tensor], batch_size: int, width: int, scene):
+        self.params, self.batch, self.width, self.scene = params, batch_size, width, scene
+        self.workers: list[tuple[int, int, int]] = []  # pid, "go" write end, "done" read end
+        self.grads = None  # [B x total parameter size] slots, once started
+
+    def __enter__(self) -> "SceneSteps":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        workers, self.workers = self.workers, []
+        for _, go, done in workers:
+            os.close(go)
+            os.close(done)
+        for pid, _, _ in workers:
+            os.waitpid(pid, 0)
+        if self.grads is not None:
+            for p in self.params:
+                p.data = p.data.copy()
+
+    def _start(self) -> None:
+        b, sizes = self.batch, [p.data.size for p in self.params]
+        self.bounds = np.cumsum([0] + sizes)
+        n = int(self.bounds[-1])
+        shared = np.frombuffer(mmap.mmap(-1, 8 * ((1 + b) * n + b * self.width)), np.float64)
+        for p, lo, hi in zip(self.params, self.bounds, self.bounds[1:]):
+            view = shared[lo:hi].reshape(p.shape)
+            view[...] = p.data
+            p.data = view
+        self.grads = shared[n:(1 + b) * n].reshape(b, n)
+        self.losses = shared[(1 + b) * n:].reshape(b, self.width)
+        procs = _process_count(b)
+        edges = [k * b // procs for k in range(procs + 1)]
+        self.own = range(edges[0], edges[1])
+        for lo, hi in zip(edges[1:], edges[2:]):
+            go_r, go_w = os.pipe()
+            done_r, done_w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                for fd in (go_r, go_w, done_r, done_w):
+                    os.close(fd)
+                raise
+            if pid == 0:
+                self._serve(range(lo, hi), go_r, done_w, (go_w, done_r))
+            os.close(go_r)
+            os.close(done_w)
+            self.workers.append((pid, go_w, done_r))
+
+    def _serve(self, own: range, go: int, done: int, parent_ends) -> None:
+        """A worker's life: one block of scenes per iteration number read
+        from `go`, until EOF. Never returns."""
+        try:
+            for fd in parent_ends + tuple(fd for _, w, r in self.workers for fd in (w, r)):
+                os.close(fd)
+            while msg := os.read(go, 8):
+                self._run(int.from_bytes(msg, "little"), own)
+                os.write(done, b"\0")
+        except BaseException:  # interrupts too: a worker never unwinds into the caller
+            try:
+                os.write(done, traceback.format_exc().encode())
+            except OSError:  # the caller has closed its end
+                pass
+        finally:
+            os._exit(0)
+
+    def _run(self, it: int, own: range) -> None:
+        for j in range(self.batch):
+            out = self.scene(it, j, j in own)
+            if out is None:
+                continue
+            root, values = out
+            for p in self.params:
+                p.grad[...] = 0.0
+            T.backward(root)
+            slot = self.grads[j]
+            for p, lo, hi in zip(self.params, self.bounds, self.bounds[1:]):
+                slot[lo:hi] = p.grad.reshape(-1)
+            self.losses[j] = values
+
+    def step(self, it: int) -> np.ndarray:
+        """Iteration `it` on every process: leaves the scene-order sum of the
+        scenes' gradients in each parameter's `grad` and returns the
+        per-scene loss values, [B x width]."""
+        if self.grads is None:
+            self._start()
+        for _, go, _ in self.workers:
+            os.write(go, it.to_bytes(8, "little"))
+        self._run(it, self.own)
+        for pid, _, done in self.workers:
+            reply = os.read(done, 1 << 16)
+            if reply == b"\0":
+                continue
+            while more := os.read(done, 1 << 16):
+                reply += more
+            raise SceneWorkerError(
+                f"scene worker {pid} failed at iteration {it}:\n{reply.decode()}" if reply
+                else f"scene worker {pid} exited during iteration {it}")
+        total = self.grads[0].copy()
+        for g in self.grads[1:]:
+            total += g
+        for p, lo, hi in zip(self.params, self.bounds, self.bounds[1:]):
+            p.grad[...] = total[lo:hi].reshape(p.shape)
+        return self.losses.copy()
 
 
 # -- teacher -----------------------------------------------------------------
@@ -127,20 +271,26 @@ def train_teacher(cfg: ExperimentConfig, out_dir: str, run_name: str = "teacher"
     group = ParamGroup("teacher")
     teacher = ToyDetector(cfg.teacher_config(), group, np.random.default_rng((cfg.seed, 10)))
     opt = MomentumSGD(group, cfg.lr_teacher, cfg.momentum, cfg.weight_decay)
+    b = cfg.batch_size
+
+    def scene(it: int, j: int, own: bool):
+        if not own:
+            return None
+        s = train_scene(cfg, it * b + j)
+        det = det_loss(teacher.det_head_forward(teacher.backbone_forward(s.image)),
+                       s.instances, teacher.cfg)
+        return det * (1.0 / b), (det.item(),)
+
     last = 0.0
-    for it in range(cfg.teacher_iters):
-        batch = _batch(cfg, it)
-        loss = _mean([det_loss(teacher.det_head_forward(teacher.backbone_forward(s.image)),
-                               s.instances, teacher.cfg) for s in batch])
-        last = loss.item()
-        if not np.isfinite(last):
-            raise RuntimeError(
-                f"teacher training diverged: loss {last} at iteration {it}, seed {cfg.seed}")
-        group.zero_grad()
-        T.backward(loss)
-        opt.step()
-        if it % LOG_EVERY == 0:
-            metrics.row(it, last, 0.0, 0.0, 0.0)
+    with SceneSteps(group.tensors(), b, 1, scene) as steps:
+        for it in range(cfg.teacher_iters):
+            last = _scene_mean(steps.step(it)[:, 0])
+            if not np.isfinite(last):
+                raise RuntimeError(
+                    f"teacher training diverged: loss {last} at iteration {it}, seed {cfg.seed}")
+            opt.step()
+            if it % LOG_EVERY == 0:
+                metrics.row(it, last, 0.0, 0.0, 0.0)
     ap = evaluate_toy_ap(teacher, heldout_scenes(cfg))
     metrics.row(cfg.teacher_iters, last, 0.0, 0.0, 0.0, ap)
     path = os.path.join(out_dir, "teacher.ckpt")
@@ -321,28 +471,39 @@ def distill_student(cfg: ExperimentConfig, teacher_state: dict, out_dir: str,
     def log(it: int, ap=None) -> None:
         metrics.row(it, *final.values(), ap)
 
-    for it in range(cfg.student_iters):
+    spec, b = cfg.scene_spec(), cfg.batch_size
+
+    def scene(it: int, j: int, own: bool):
+        i = it * b + j
+        if not own:
+            # the draws scene_losses makes from cond_rng, without the scene's image
+            conds = build_conditions(scene_instances(spec, (cfg.seed, 1, i)), stats,
+                                     cfg.fake_ratio, cond_rng)
+            encode_set(conds, sys.espec, cond_rng, include_scale=cfg.use_scale)
+            return None
         active = cfg.lam != 0.0 and it >= cfg.warmup_iters
-        parts = [scene_losses(cfg, sys, s, stats, cond_rng, active)
-                 for s in _batch(cfg, it)]
-        det, idf, loc, dis = (_mean(p) for p in zip(*parts))
-        bundle = total_loss(det, idf, loc, dis, cfg.lam)
-        final = {"loss_det": det.item(), "loss_aux_idf": idf.item(),
-                 "loss_aux_reg": loc.item(), "loss_distill": dis.item()}
-        if not np.isfinite(bundle.total.item()):
-            raise RuntimeError(
-                f"distillation diverged: loss {bundle.total.item()} at iteration {it}, "
-                f"seed {cfg.seed}")
-        for name in TRAINED_GROUPS:
-            sys.groups[name].zero_grad()
-        T.backward(bundle.total)
-        opt_student.step()
-        opt_decoder.step()
-        opt_aux.step()
-        if it % LOG_EVERY == 0:
-            log(it)
-        if cfg.eval_every and it and it % cfg.eval_every == 0:
-            log(it, evaluate_toy_ap(sys.student, heldout_scenes(cfg)))
+        parts = scene_losses(cfg, sys, train_scene(cfg, i), stats, cond_rng, active)
+        # each part scaled by 1/B: the adjoint seeds of the batch mean
+        root = total_loss(*(p * (1.0 / b) for p in parts), cfg.lam).total
+        return root, tuple(p.item() for p in parts)
+
+    trained = [p for name in TRAINED_GROUPS for p in sys.groups[name].tensors()]
+    with SceneSteps(trained, b, 4, scene) as steps:
+        for it in range(cfg.student_iters):
+            det, idf, loc, dis = (_scene_mean(col) for col in steps.step(it).T)
+            final = {"loss_det": det, "loss_aux_idf": idf, "loss_aux_reg": loc,
+                     "loss_distill": dis}
+            total = det + (idf + loc) + dis * cfg.lam  # as total_loss forms it
+            if not np.isfinite(total):
+                raise RuntimeError(
+                    f"distillation diverged: loss {total} at iteration {it}, seed {cfg.seed}")
+            opt_student.step()
+            opt_decoder.step()
+            opt_aux.step()
+            if it % LOG_EVERY == 0:
+                log(it)
+            if cfg.eval_every and it and it % cfg.eval_every == 0:
+                log(it, evaluate_toy_ap(sys.student, heldout_scenes(cfg)))
     ap = evaluate_toy_ap(sys.student, heldout_scenes(cfg))
     log(cfg.student_iters, ap)
     path = os.path.join(out_dir, f"{run_name}.ckpt")

@@ -13,9 +13,12 @@ records. Anything else (any edit under src/condkd, a deleted or altered
 file) makes the fixture clear the directory and rebuild; commit the rebuilt
 directory with the code change that caused it.
 `test_committed_cache_matches_code` fails at once when the committed cache
-does not match the current code. A rebuild took 11-34 min on a 2-vCPU box;
-on the same machine it reproduces checkpoints and metrics.csv bit for bit. All other criteria, and c09's reduced-iteration
-rerun, recompute from scratch on every run."""
+does not match the current code. A rebuild took 11-34 min on a 2-vCPU box
+while each training step ran in one process. With each step's scenes split
+across both vCPUs it took 20.8-22.9 min on a slow stretch of that box, where
+the one-process code took 31.2 min. On the same machine it reproduces
+checkpoints and metrics.csv bit for bit. All other criteria, and c09's
+reduced-iteration rerun, recompute from scratch on every run."""
 
 import dataclasses
 import hashlib

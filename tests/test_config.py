@@ -27,6 +27,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="fake_ratio"):
             ExperimentConfig(fake_ratio=-1)
 
+    @pytest.mark.parametrize("strides", [(4, 8), (16, 8), (8,), (8, 16, 32)])
+    def test_strides_other_than_the_wired_pair_rejected(self, strides):
+        with pytest.raises(ValueError, match="strides"):
+            ExperimentConfig(strides=strides)
+        with pytest.raises(ValueError, match="strides"):
+            build_config({"strides": " ".join(map(str, strides))})
+
 
 class TestFileParsing:
     def test_comments_blanks_and_overrides(self, tmp_path):

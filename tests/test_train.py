@@ -3,6 +3,7 @@ ablation sweeps, and run-level determinism."""
 
 import itertools
 import os
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -120,8 +121,10 @@ class TestCheckTeacherState:
             tr.check_teacher_state(mini_config(feat_dim=16), state)
 
     def test_stride_mismatch_rejected(self, state):
+        # a config cannot hold other strides, so the checkpoint records them
+        foreign = state | {"__cfg__.strides": np.array([4.0, 8.0])}
         with pytest.raises(CheckpointError, match="strides"):
-            tr.check_teacher_state(mini_config(strides=(4, 8)), state)
+            tr.check_teacher_state(mini_config(), foreign)
 
     def test_missing_metadata_rejected(self, state):
         partial = {k: v for k, v in state.items() if k != "__cfg__.feat_dim"}
@@ -161,6 +164,140 @@ class TestDeterminism:
         with open(paths[0], "rb") as f0, open(paths[1], "rb") as f1:
             assert f0.read() == f1.read()
         assert read_csv(os.path.dirname(paths[0])) == read_csv(os.path.dirname(paths[1]))
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def read_bytes(path):
+    with open(path, "rb") as f:
+        return f.read()
+
+
+# batch 8 at desk scale, short enough for a unit test
+DESK_SHORT = dict(teacher_iters=3, student_iters=3, warmup_iters=1, eval_scenes=2,
+                  stats_scenes=16)
+
+
+class TestSceneParallel:
+    """Each step's scenes split across forked processes: the same bytes at
+    any process count, and no process outlives the loop."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """A loop that waits on a worker forever fails here instead of hanging."""
+        def expire(signum, frame):
+            raise TimeoutError("test exceeded 120 s")
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(120)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.fixture
+    def procs(self, monkeypatch):
+        """force(n) sets the process count to n and returns the pids forked
+        since the test began."""
+        forked = []
+        fork = os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+
+        def force(n):
+            monkeypatch.setattr(tr, "_process_count", lambda b: min(n, b))
+            return forked
+        return force
+
+    @pytest.mark.parametrize("cfg", [mini_config(teacher_iters=4, student_iters=3, warmup_iters=1),
+                                     ExperimentConfig(**DESK_SHORT)], ids=["mini", "desk"])
+    def test_bytes_do_not_depend_on_the_process_count(self, cfg, procs, tmp_path):
+        runs = {}
+        for n in (1, 2):
+            forked = procs(n)
+            d = str(tmp_path / f"p{n}")
+            teacher = tr.train_teacher(cfg, d)
+            if n == 1:  # both distill from the same teacher
+                teacher_state = load_checkpoint(teacher.checkpoint)
+            student = tr.distill_student(cfg, teacher_state, d)
+            runs[n] = (teacher.checkpoint, student.checkpoint, os.path.join(d, "metrics.csv"))
+            assert len(forked) == 2 * (n - 1)  # one worker per loop at 2 processes
+            assert_no_child_process()
+        for one, two in zip(runs[1], runs[2]):
+            assert read_bytes(one) == read_bytes(two), os.path.basename(one)
+
+    def test_a_loop_of_zero_iterations_forks_nothing(self, procs, tmp_path):
+        forked = procs(2)
+        teacher = tr.train_teacher(mini_config(), str(tmp_path))
+        tr.distill_student(mini_config(), load_checkpoint(teacher.checkpoint), str(tmp_path))
+        assert forked == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_raises_and_leaves_no_process(self, procs, tmp_path):
+        forked = procs(2)
+        cfg = mini_config(teacher_iters=50, lr_teacher=1e6)
+        with pytest.raises(RuntimeError, match=r"diverged.*seed 0"):
+            tr.train_teacher(cfg, str(tmp_path))
+        assert len(forked) == 1
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("loop", ["teacher", "distill"])
+    @pytest.mark.parametrize("where", ["worker", "parent"])
+    def test_exception_in_a_scene_is_raised_and_leaves_no_process(
+            self, loop, where, procs, mini_teacher, tmp_path, monkeypatch):
+        forked = procs(2)
+        parent, det_loss = os.getpid(), tr.det_loss
+
+        def failing(*a, **k):
+            if (os.getpid() != parent) == (where == "worker"):
+                raise ValueError(f"boom in the {where}")
+            return det_loss(*a, **k)
+
+        monkeypatch.setattr(tr, "det_loss", failing)
+        cfg = mini_config(teacher_iters=3, student_iters=3)
+        expected = tr.SceneWorkerError if where == "worker" else ValueError
+        with pytest.raises(expected, match=f"boom in the {where}"):
+            if loop == "teacher":
+                tr.train_teacher(cfg, str(tmp_path))
+            else:
+                tr.distill_student(cfg, mini_teacher, str(tmp_path))
+        assert len(forked) == 1
+        assert_no_child_process()
+
+    def test_worker_that_dies_is_reported(self, procs, tmp_path, monkeypatch):
+        procs(2)
+        parent, det_loss = os.getpid(), tr.det_loss
+
+        def dying(*a, **k):
+            if os.getpid() != parent:
+                os._exit(3)
+            return det_loss(*a, **k)
+
+        monkeypatch.setattr(tr, "det_loss", dying)
+        with pytest.raises(tr.SceneWorkerError, match="exited during iteration 0"):
+            tr.train_teacher(mini_config(teacher_iters=2), str(tmp_path))
+        assert_no_child_process()
+
+    def test_failed_fork_leaks_no_descriptor(self, procs, tmp_path, monkeypatch):
+        procs(2)
+
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        before = len(os.listdir("/dev/fd"))
+        with pytest.raises(BlockingIOError):
+            tr.train_teacher(mini_config(teacher_iters=2), str(tmp_path))
+        assert len(os.listdir("/dev/fd")) == before
 
 
 class TestLambdaZero:
