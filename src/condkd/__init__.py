@@ -10,12 +10,20 @@ Everything runs on a small numpy-backed autodiff substrate; see ``tensor``.
 """
 
 import os
+import sys
 
 # One BLAS thread unless the caller chose otherwise: the matrices here are
 # small, and a thread per core only oversubscribes the cores when anything
 # runs beside. Set before numpy is first imported, or it has no effect.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_numpy_first = "numpy" in sys.modules
+_pinned_before = all(os.environ.get(v) == "1" for v in _BLAS_VARS)
+for _var in _BLAS_VARS:
     os.environ.setdefault(_var, "1")
+# Whether BLAS is known to run one thread: all three variables held "1" when
+# numpy read them. `train` splits a step across processes only then.
+BLAS_ONE_THREAD = _pinned_before or (
+    not _numpy_first and all(os.environ[v] == "1" for v in _BLAS_VARS))
 
 from .tensor import Tensor, ParamGroup, backward, finite_diff_check  # noqa: E402
 

@@ -110,8 +110,7 @@ def cmd_gen_data(args) -> int:
                     f"w={stats.mean_w[c]:.2f}+-{stats.std_w[c]:.2f}px "
                     f"h={stats.mean_h[c]:.2f}+-{stats.std_h[c]:.2f}px\n")
     for i, scene in enumerate(scenes[:4]):
-        img = np.clip(scene.image.data, 0.0, 1.0)
-        rgb = np.round(img.transpose(1, 2, 0) * 255.0).astype(np.uint8)
+        rgb = np.round(np.clip(scene.image.data, 0.0, 1.0) * 255.0).astype(np.uint8)
         write_ppm(os.path.join(args.out_dir, f"scene{i}.ppm"), rgb)
     print(f"wrote {len(scenes)} scenes to {args.out_dir} ({stats.total} instances)")
     return 0

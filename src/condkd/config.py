@@ -24,7 +24,6 @@ _SIZE_STDS = (3.0, 2.0, 4.0)
 class ExperimentConfig:
     image_size: int = 64
     num_classes: int = 3
-    strides: tuple[int, ...] = (8, 16)
     feat_dim: int = 32
     heads: int = 4
     depth: int = 1
@@ -52,16 +51,12 @@ class ExperimentConfig:
     use_idf: bool = True
     use_loc: bool = True
     use_scale: bool = True
-    detach_fv: bool = True
     stats_scenes: int = 128
     eval_scenes: int = 48
     eval_every: int = 0  # 0: evaluate only at the end
     noise_sigma: float = 0.05
 
     def __post_init__(self):
-        if tuple(self.strides) != (8, 16):
-            raise ValueError(f"strides must be (8, 16), the two levels the detector is "
-                             f"wired for; got {self.strides}")
         if self.feat_dim % self.heads:
             raise ValueError(f"heads {self.heads} must divide feat_dim {self.feat_dim}")
         if self.attention_variant not in ATTENTION_VARIANTS:
@@ -80,7 +75,7 @@ class ExperimentConfig:
 
     def detector_config(self, widths: tuple[int, ...]) -> DetectorConfig:
         return DetectorConfig(self.image_size, self.num_classes, self.feat_dim,
-                              self.strides, tuple(widths), self.pos_dim)
+                              tuple(widths), self.pos_dim)
 
     def teacher_config(self) -> DetectorConfig:
         return self.detector_config(self.teacher_widths)
@@ -90,7 +85,7 @@ class ExperimentConfig:
 
     def encoder_spec(self) -> EncoderSpec:
         return EncoderSpec(self.num_classes, self.enc_pos_dim, self.enc_scale_dim,
-                           self.max_log2, self.jitter, drop_info=True)
+                           self.max_log2, self.jitter)
 
     def scene_spec(self) -> SceneSpec:
         c = self.num_classes

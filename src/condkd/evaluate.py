@@ -11,9 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import Instance
 from .pyramid import ToyDetector, cell_centers
 from .scenes import Scene
+
+SCORE_THRESH = 0.5  # a class score above this makes a cell a candidate
+NMS_IOU = 0.5  # greedy NMS drops overlaps strictly above this
 
 
 @dataclass
@@ -35,18 +37,17 @@ def box_iou(a, b) -> float:
     return inter / (area_a + area_b - inter)
 
 
-def greedy_nms(dets: list[Detection], iou_thresh: float = 0.5) -> list[Detection]:
-    """Keep highest-scoring boxes, dropping overlaps strictly above thresh."""
+def greedy_nms(dets: list[Detection]) -> list[Detection]:
+    """Keep highest-scoring boxes, dropping overlaps strictly above NMS_IOU."""
     kept: list[Detection] = []
     for d in sorted(dets, key=lambda d: -d.score):
-        if all(box_iou(d.box, k.box) <= iou_thresh for k in kept):
+        if all(box_iou(d.box, k.box) <= NMS_IOU for k in kept):
             kept.append(d)
     return kept
 
 
-def decode_predictions(det: ToyDetector, image, score_thresh: float = 0.5,
-                       nms_iou: float = 0.5) -> list[Detection]:
-    """Dense head outputs to boxes: sigmoid class scores above score_thresh
+def decode_predictions(det: ToyDetector, image) -> list[Detection]:
+    """Dense head outputs to boxes: sigmoid class scores above SCORE_THRESH
     become candidates at their cell center, then per-class NMS."""
     preds = det.det_head_forward(det.backbone_forward(image))
     out: list[Detection] = []
@@ -55,7 +56,7 @@ def decode_predictions(det: ToyDetector, image, score_thresh: float = 0.5,
         centers = cell_centers(shape, stride, det.cfg.image_size)
         probs = 1.0 / (1.0 + np.exp(-logits.data))
         sides = ltrb.data
-        rows, cats = np.nonzero(probs > score_thresh)
+        rows, cats = np.nonzero(probs > SCORE_THRESH)
         for r, c in zip(rows, cats):
             cx, cy = centers[r]
             l, t, rr, b = sides[r]
@@ -63,7 +64,7 @@ def decode_predictions(det: ToyDetector, image, score_thresh: float = 0.5,
                                  float(probs[r, c])))
     merged: list[Detection] = []
     for c in sorted({d.category for d in out}):
-        merged.extend(greedy_nms([d for d in out if d.category == c], nms_iou))
+        merged.extend(greedy_nms([d for d in out if d.category == c]))
     return merged
 
 
@@ -117,9 +118,9 @@ def ap_from_detections(per_scene: list[list[Detection]], scenes: list[Scene],
     return float(np.mean(aps)) if aps else 0.0
 
 
-def evaluate_toy_ap(det: ToyDetector, scenes: list[Scene], score_thresh: float = 0.5,
-                    nms_iou: float = 0.5, match_iou: float = 0.5) -> float:
+def evaluate_toy_ap(det: ToyDetector, scenes: list[Scene]) -> float:
+    """toy-AP@0.5 of `det` on `scenes`."""
     if not scenes:
         raise ValueError("need at least one scene to evaluate")
-    per_scene = [decode_predictions(det, s.image, score_thresh, nms_iou) for s in scenes]
-    return ap_from_detections(per_scene, scenes, det.cfg.num_classes, match_iou)
+    per_scene = [decode_predictions(det, s.image) for s in scenes]
+    return ap_from_detections(per_scene, scenes, det.cfg.num_classes)

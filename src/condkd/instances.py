@@ -142,7 +142,6 @@ class EncoderSpec:
     scale_dim: int = 8
     max_log2: int = 6  # largest expected floor(log2(size px)); normalizes indicators
     jitter: float = 0.3
-    drop_info: bool = True
 
     @property
     def width(self) -> int:
@@ -150,35 +149,9 @@ class EncoderSpec:
 
 
 def condition_center(inst: Instance, spec: EncoderSpec, rng: np.random.Generator) -> tuple[float, float]:
-    """The (possibly jittered) center the condition vector will encode."""
-    if spec.drop_info:
-        return jitter_center((inst.x, inst.y, inst.w, inst.h), spec.jitter, rng)
-    return inst.x, inst.y
-
-
-def encode_instance(inst: Instance, spec: EncoderSpec, rng: np.random.Generator,
-                    center: tuple[float, float] | None = None,
-                    include_scale: bool = True) -> np.ndarray:
-    """Condition vector for one instance; jitter applies only when dropping.
-
-    Passing an explicit center reuses a jitter draw made elsewhere, keeping the
-    encoding and the localization target consistent. include_scale=False zeroes
-    the scale-indicator block (the scale-hint ablation).
-    """
-    if center is None:
-        center = condition_center(inst, spec, rng)
-    x, y = center
-    iw, ih = scale_indicator(inst.w_px, inst.h_px)
-    if include_scale:
-        scale_block = _scale_block(iw, ih, spec.max_log2, spec.scale_dim)
-    else:
-        scale_block = np.zeros(2 * spec.scale_dim)
-    return np.concatenate([
-        one_hot(inst.category, spec.num_classes),
-        sine_pos_embed(x, spec.pos_dim),
-        sine_pos_embed(y, spec.pos_dim),
-        scale_block,
-    ])
+    """The jittered center the condition vector will encode; jitter 0 draws
+    nothing and keeps the exact center."""
+    return jitter_center((inst.x, inst.y, inst.w, inst.h), spec.jitter, rng)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -209,30 +182,23 @@ class ConditionSet:
 
 def encode_set(instances: list[Instance], spec: EncoderSpec, rng: np.random.Generator,
                include_scale: bool = True) -> ConditionSet:
+    """Condition vectors of `instances`, one row each in the EncoderSpec
+    layout, with one center draw per instance in order and the sine codes of
+    all centers computed in one call per axis. include_scale=False zeroes the
+    scale-indicator block (the scale-hint ablation)."""
     if not instances:
         return ConditionSet([], np.zeros((0, spec.width)), np.zeros((0, 2)))
-    centers = [condition_center(inst, spec, rng) for inst in instances]
-    return ConditionSet(list(instances), _encode_rows(instances, centers, spec, include_scale),
-                        np.array(centers))
-
-
-def _encode_rows(instances: list[Instance], centers: list[tuple[float, float]],
-                 spec: EncoderSpec, include_scale: bool) -> np.ndarray:
-    """encode_instance of every instance at its given center, one row each,
-    with the sine codes of all centers computed in one call per axis."""
     c, p = spec.num_classes, spec.pos_dim
+    centers = np.array([condition_center(inst, spec, rng) for inst in instances])
     out = np.zeros((len(instances), spec.width))
     for i, inst in enumerate(instances):
-        if not 0 <= inst.category < c:
-            raise IndexError(f"category {inst.category} out of range [0, {c})")
-        out[i, inst.category] = 1.0
+        out[i, :c] = one_hot(inst.category, c)
         iw, ih = scale_indicator(inst.w_px, inst.h_px)
         if include_scale:
             out[i, c + 2 * p:] = _scale_block(iw, ih, spec.max_log2, spec.scale_dim)
-    xy = np.array(centers, dtype=np.float64)
-    out[:, c:c + p] = sine_pos_embed(xy[:, 0], p)
-    out[:, c + p:c + 2 * p] = sine_pos_embed(xy[:, 1], p)
-    return out
+    out[:, c:c + p] = sine_pos_embed(centers[:, 0], p)
+    out[:, c + p:c + 2 * p] = sine_pos_embed(centers[:, 1], p)
+    return ConditionSet(list(instances), out, centers)
 
 
 def make_query(encoded: np.ndarray, f_q: Mlp3) -> Tensor:

@@ -55,18 +55,16 @@ class Mlp3:
         return T.mlp(x, [(l.weight, l.bias) for l in (self.l1, self.l2, self.l3)])
 
 
-def sine_pos_embed(u, dim: int, temperature: float = 10000.0) -> np.ndarray:
+def sine_pos_embed(u, dim: int) -> np.ndarray:
     """Fixed interleaved sin/cos encoding of normalized coordinates in [0,1].
 
-    Component pair k holds sin(u*s_k), cos(u*s_k) with s_k = temperature^(-2k/dim).
+    Component pair k holds sin(u*s_k), cos(u*s_k) with s_k = 10000^(-2k/dim).
     Accepts a scalar or an array of coordinates; appends the dim axis last.
     """
     if dim % 2 != 0:
         raise ValueError(f"sine_pos_embed needs an even dim, got {dim}")
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
     u = np.asarray(u, dtype=np.float64)
-    angles = u[..., None] * _sine_scales(dim, temperature)
+    angles = u[..., None] * _sine_scales(dim)
     out = np.empty(u.shape + (dim,))
     out[..., 0::2] = np.sin(angles)
     out[..., 1::2] = np.cos(angles)
@@ -74,8 +72,8 @@ def sine_pos_embed(u, dim: int, temperature: float = 10000.0) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _sine_scales(dim: int, temperature: float) -> np.ndarray:
-    scale = temperature ** (-2.0 * np.arange(dim // 2) / dim)
+def _sine_scales(dim: int) -> np.ndarray:
+    scale = 10000.0 ** (-2.0 * np.arange(dim // 2) / dim)
     scale.flags.writeable = False
     return scale
 

@@ -1,12 +1,12 @@
 """Toy multi-scale detector and the flattened feature-pyramid view.
 
 The detector is deliberately small plumbing: a strided conv backbone, 1x1
-lateral projections onto a shared width, and a dense per-cell head predicting
-class logits and ltrb box distances. It stands in for a real dense detector so
-the distillation machinery has genuine multi-scale features to work with.
+lateral projections onto a shared width at the two levels of STRIDES, and a
+dense per-cell head predicting class logits and ltrb box distances. It stands
+in for a real dense detector so the distillation machinery has genuine
+multi-scale features to work with.
 
-Feature maps are channel-last [H, W, C] internally; the public image format is
-channel-first [3, H, W].
+Images and feature maps are channel-last: [H, W, 3] and [H, W, C].
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from . import tensor as T
 from .instances import Instance
 from .nn import Linear, kaiming_uniform, sine_pos_embed
 from .tensor import ParamGroup, ShapeError, Tensor
+
+STRIDES = (8, 16)  # the pyramid levels the backbone is wired for
 
 
 class Conv2d:
@@ -56,7 +58,6 @@ class DetectorConfig:
     image_size: int = 64
     num_classes: int = 3
     feat_dim: int = 32  # shared pyramid width D
-    strides: tuple[int, ...] = (8, 16)
     widths: tuple[int, int, int, int] = (16, 32, 48, 48)  # backbone stage channels
     pos_dim: int = 8  # raw sine width for pyramid positions (split across x/y)
 
@@ -65,7 +66,7 @@ class DetectorConfig:
 
     @property
     def num_cells(self) -> int:
-        return sum(h * w for h, w in (self.level_shape(s) for s in self.strides))
+        return sum(h * w for h, w in (self.level_shape(s) for s in STRIDES))
 
 
 @dataclass
@@ -109,10 +110,8 @@ class ToyDetector:
     """
 
     def __init__(self, cfg: DetectorConfig, group: ParamGroup, rng: np.random.Generator):
-        if cfg.image_size % max(cfg.strides):
-            raise ValueError(f"image size {cfg.image_size} not divisible by stride {max(cfg.strides)}")
-        if set(cfg.strides) != {8, 16}:
-            raise ValueError("backbone is wired for strides (8, 16)")
+        if cfg.image_size % max(STRIDES):
+            raise ValueError(f"image size {cfg.image_size} not divisible by stride {max(STRIDES)}")
         self.cfg = cfg
         self.group = group
         w1, w2, w3, w4 = cfg.widths
@@ -129,10 +128,10 @@ class ToyDetector:
         self.head_out = Conv2d(d, cfg.num_classes + 4, group, rng, "head.out")
 
     def backbone_forward(self, image: Tensor) -> FeaturePyramid:
-        if image.shape != (3, self.cfg.image_size, self.cfg.image_size):
-            raise ShapeError(
-                f"expected image [3, {self.cfg.image_size}, {self.cfg.image_size}], got {image.shape}")
-        x = T.reshape(T.permute(image, (1, 2, 0)), (1,) + image.shape[1:] + (3,))
+        s = self.cfg.image_size
+        if image.shape != (s, s, 3):
+            raise ShapeError(f"expected image [{s}, {s}, 3], got {image.shape}")
+        x = T.reshape(image, (1, s, s, 3))
         c1 = T.relu(self.conv1(x))
         c2 = T.relu(self.conv2(c1))
         c3 = T.relu(self.conv3(c2))  # stride 8

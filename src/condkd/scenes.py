@@ -9,8 +9,7 @@ to the last bit from their seed.
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +42,7 @@ class SceneSpec:
 
 @dataclass
 class Scene:
-    image: Tensor  # [3, H, W], constant
+    image: Tensor  # [H, W, 3], constant
     instances: list[Instance]  # paint order; later boxes occlude earlier ones
     seed: tuple[int, ...]  # entropy the scene was drawn from, e.g. (run seed, stream, index)
 
@@ -116,7 +115,7 @@ def generate_scene(spec: SceneSpec, seed: tuple[int, ...]) -> Scene:
     instances = [inst for inst, _ in layout]
     if spec.noise_sigma > 0:
         canvas = canvas + rng.normal(0.0, spec.noise_sigma, canvas.shape)
-    return Scene(T.constant(canvas.transpose(2, 0, 1)), instances, seed)
+    return Scene(T.constant(canvas), instances, seed)
 
 
 def generate_dataset(spec: SceneSpec, seed: int, count: int) -> list[Scene]:

@@ -118,12 +118,6 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -464,13 +458,6 @@ def transpose(a) -> Tensor:
     return _from_op(a.data.T.copy(), (a,), lambda g: (g.T,))
 
 
-def permute(a, axes: Sequence[int]) -> Tensor:
-    a = as_tensor(a)
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    return _from_op(np.transpose(a.data, axes).copy(), (a,), lambda g: (np.transpose(g, inv),))
-
-
 def reshape(a, shape) -> Tensor:
     # no op writes into its inputs' data, so the result may share a's buffer
     a = as_tensor(a)
@@ -540,10 +527,10 @@ def slice_last(a, start: int, stop: int) -> Tensor:
 
 
 def pad_hw(a, pad: int) -> Tensor:
-    """Zero-pad the H and W axes of a [..., H, W, C] tensor."""
+    """Zero-pad the H and W axes of a [..., H, W, C] tensor by pad >= 1."""
+    if pad < 1:
+        raise ValueError(f"pad_hw needs pad >= 1, got {pad}")
     a = as_tensor(a)
-    if pad == 0:
-        return _from_op(a.data.copy(), (a,), lambda g: (g,))
     width = [(0, 0)] * a.data.ndim
     width[-3] = (pad, pad)
     width[-2] = (pad, pad)

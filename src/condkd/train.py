@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import BLAS_ONE_THREAD
 from . import tensor as T
 from .checkpoint import CheckpointError, group_state, load_group, save_checkpoint
 from .config import ATTENTION_VARIANTS, ExperimentConfig
@@ -25,7 +26,8 @@ from .evaluate import evaluate_toy_ap
 from .instances import EncoderSpec, build_conditions, compute_stats, encode_set, make_query
 from .losses import AuxHeads, aux_loss, distill_loss, total_loss
 from .nn import Mlp3, MomentumSGD
-from .pyramid import FlatPyramid, ToyDetector, det_loss, flatten_pyramid, inherit_parameters
+from .pyramid import (STRIDES, FlatPyramid, ToyDetector, det_loss, flatten_pyramid,
+                      inherit_parameters)
 from .scenes import Scene, generate_scene, scene_instances
 from .tensor import ParamGroup, Tensor
 
@@ -102,7 +104,10 @@ class SceneWorkerError(RuntimeError):
 
 def _process_count(batch_size: int) -> int:
     """Processes a training step splits its scenes across: one per usable
-    CPU, at most one per scene."""
+    CPU, at most one per scene; just one when BLAS may run several threads
+    (`condkd.BLAS_ONE_THREAD` is false), which would oversubscribe the cores."""
+    if not BLAS_ONE_THREAD:
+        return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, min(cpus or 1, batch_size))
 
@@ -243,7 +248,7 @@ _META_FIELDS = ("image_size", "num_classes", "feat_dim", "pos_dim")
 
 def _teacher_meta(cfg: ExperimentConfig) -> dict[str, np.ndarray]:
     meta = {f"__cfg__.{k}": np.array(float(getattr(cfg, k))) for k in _META_FIELDS}
-    meta["__cfg__.strides"] = np.array(cfg.strides, dtype=float)
+    meta["__cfg__.strides"] = np.array(STRIDES, dtype=float)
     meta["__cfg__.teacher_widths"] = np.array(cfg.teacher_widths, dtype=float)
     return meta
 
@@ -432,8 +437,7 @@ def scene_losses(cfg: ExperimentConfig, sys: System, scene: Scene, stats,
     det = det_loss(sys.student.det_head_forward(s_pyr), scene.instances, sys.student.cfg)
     if distill_active:
         s_flat = flatten_pyramid(s_pyr, cfg.pos_dim)
-        s_values = sys.decoder.student_values(
-            s_flat, detach_weights=cfg.detach_fv and distill_detach)
+        s_values = sys.decoder.student_values(s_flat, detach_weights=distill_detach)
         k_used = substitute_masks(knowledge, cfg.attention_variant, t_flat,
                                   scene.instances, cfg.image_size, len(conds))
         dis = distill_loss(k_used, s_values, cset.flags, detach_inputs=distill_detach)

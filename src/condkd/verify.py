@@ -101,8 +101,6 @@ def gradcheck_ops(seed: int = 0, tol: float = 1e-4) -> GradCheckReport:
         ("matmul", _param(rng, (3, 4)),
          lambda x, a=w(4, 5), c=w(3, 5): T.mul(T.matmul(x, a), c)),
         ("transpose", _param(rng, (3, 4)), lambda x, c=w(4, 3): T.mul(T.transpose(x), c)),
-        ("permute", _param(rng, (2, 3, 4)),
-         lambda x, c=w(4, 2, 3): T.mul(T.permute(x, (2, 0, 1)), c)),
         ("reshape", _param(rng, (3, 4)), lambda x, c=w(2, 6): T.mul(T.reshape(x, (2, 6)), c)),
         ("concat", _param(rng, (3, 4)),
          lambda x, c=w(3, 8): T.mul(T.concat([x, T.mul(x, x)], axis=1), c)),

@@ -1,0 +1,33 @@
+"""The names the benchmark harness under perfbench/ looks up in condkd.
+
+perfbench/tracer.py times the program by swapping module attributes and
+class methods for wrappers, and perfbench's workloads call a few functions
+directly. Renaming or deleting any of them breaks the benchmark, which the
+unit tests would otherwise not notice."""
+
+from pathlib import Path
+
+import condkd
+from condkd import train, verify
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_tracer_wraps_and_restores_every_name(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    t = tracer.Tracer()
+    t.install(condkd)
+    try:
+        patched = list(t._patches)
+        assert patched
+        assert all(getattr(owner, attr) is not orig for owner, attr, orig in patched)
+    finally:
+        t.uninstall()
+    assert all(getattr(owner, attr) is orig for owner, attr, orig in patched)
+
+
+def test_workload_entry_points_exist():
+    for fn in (train.ablate_attention, verify._composed_total, train.check_teacher_state):
+        assert callable(fn)

@@ -11,6 +11,7 @@ from condkd import cli
 from condkd.checkpoint import load_checkpoint
 from condkd.config import load_config
 from condkd.heatmap import quantize_mask, read_pgm
+from condkd.scenes import generate_dataset
 from condkd.train import decode_conditions, heldout_scenes, load_system
 
 MINI_CFG = """
@@ -88,6 +89,14 @@ class TestGenData:
         assert "class 0" in (tmp_path / "stats.txt").read_text()
         previews = sorted(p.name for p in tmp_path.glob("scene*.ppm"))
         assert previews == ["scene0.ppm", "scene1.ppm", "scene2.ppm", "scene3.ppm"]
+        # the preview is the [H, W, 3] image itself, row-major RGB
+        cfg = load_config(cfg_file)
+        image = generate_dataset(cfg.scene_spec(), cfg.seed, 1)[0].image.data
+        header = b"P6\n16 16\n255\n"
+        blob = (tmp_path / "scene0.ppm").read_bytes()
+        assert blob[:len(header)] == header
+        want = np.round(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
+        assert blob[len(header):] == want.tobytes()
 
     def test_seed_flag_changes_scenes(self, cfg_file, tmp_path):
         for s in ("0", "1"):

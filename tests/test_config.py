@@ -5,6 +5,7 @@ import logging
 import pytest
 
 from condkd.config import ExperimentConfig, build_config, load_config, parse_config_file
+from condkd.pyramid import STRIDES
 
 
 class TestValidation:
@@ -29,10 +30,20 @@ class TestValidation:
 
     @pytest.mark.parametrize("strides", [(4, 8), (16, 8), (8,), (8, 16, 32)])
     def test_strides_other_than_the_wired_pair_rejected(self, strides):
-        with pytest.raises(ValueError, match="strides"):
-            ExperimentConfig(strides=strides)
-        with pytest.raises(ValueError, match="strides"):
+        # the pyramid levels are fixed at pyramid.STRIDES, so no strides value
+        # can be configured: the key is unknown to the file and the dataclass
+        assert STRIDES == (8, 16)
+        with pytest.raises(ValueError, match="unknown config keys.*strides"):
             build_config({"strides": " ".join(map(str, strides))})
+        with pytest.raises(TypeError, match="strides"):
+            ExperimentConfig(strides=strides)
+
+    def test_value_stop_gradient_is_not_configurable(self):
+        # the stop-gradient on the student's value projection is fixed
+        with pytest.raises(ValueError, match="unknown config keys.*detach_fv"):
+            build_config({"detach_fv": "false"})
+        with pytest.raises(TypeError, match="detach_fv"):
+            ExperimentConfig(detach_fv=False)
 
 
 class TestFileParsing:
@@ -56,9 +67,9 @@ class TestFileParsing:
 class TestBuild:
     def test_coercion_across_types(self):
         cfg = build_config({"lam": "2.5", "heads": "8", "inherit": "true",
-                            "strides": "8, 16", "attention_variant": "none"})
+                            "student_widths": "4, 8 12,16", "attention_variant": "none"})
         assert cfg.lam == 2.5 and cfg.heads == 8 and cfg.inherit is True
-        assert cfg.strides == (8, 16)
+        assert cfg.student_widths == (4, 8, 12, 16)
         assert cfg.attention_variant == "none"
 
     def test_boolean_spellings(self):

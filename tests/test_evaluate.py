@@ -69,7 +69,7 @@ class TestElevenPointAp:
 def one_box_scene(category, x1, y1, x2, y2, image=64):
     inst = make_instance(category, (x1 + x2) / 2 / image, (y1 + y2) / 2 / image,
                          (x2 - x1) / image, (y2 - y1) / image, image, image)
-    return Scene(T.constant(np.zeros((3, image, image))), [inst], (0, 0))
+    return Scene(T.constant(np.zeros((image, image, 3))), [inst], (0, 0))
 
 
 class TestApFromDetections:
@@ -117,7 +117,7 @@ class TestDecodePredictions:
         det = ToyDetector(cfg, ParamGroup("teacher"), np.random.default_rng(0))
         for lin in (det.head_out,):
             lin.weight.data[...] = 0.0
-        img = T.constant(np.random.default_rng(1).normal(size=(3, 16, 16)))
+        img = T.constant(np.random.default_rng(1).normal(size=(16, 16, 3)))
         assert decode_predictions(det, img) == []
 
     def test_forced_logit_produces_box_at_cell_center(self):
@@ -125,7 +125,7 @@ class TestDecodePredictions:
         det = ToyDetector(cfg, ParamGroup("teacher"), np.random.default_rng(0))
         det.head_out.weight.data[...] = 0.0
         det.head_out.bias.data[...] = [4.0, -4.0, 0.0, 0.0, 0.0, 0.0]
-        img = T.constant(np.zeros((3, 16, 16)))
+        img = T.constant(np.zeros((16, 16, 3)))
         dets = decode_predictions(det, img)
         assert dets and all(d.category == 0 for d in dets)
         # ltrb = exp(0) * stride/image on every side

@@ -12,7 +12,6 @@ from condkd.instances import (
     Instance,
     build_conditions,
     compute_stats,
-    encode_instance,
     encode_set,
     jitter_center,
     make_instance,
@@ -93,18 +92,24 @@ def test_scale_indicator_constant_within_bin():
         assert scale_indicator(s, s) == (3, 3)
 
 
+def encode_one(inst, spec, rng):
+    """The condition vector of a single instance."""
+    return encode_set([inst], spec, rng).vectors[0]
+
+
 def test_encoding_deterministic_without_dropping():
-    spec = EncoderSpec(num_classes=3, jitter=0.0, drop_info=False)
+    spec = EncoderSpec(num_classes=3, jitter=0.0)
     inst = Instance(1, 0.3, 0.7, 0.2, 0.1, 12.8, 6.4)
-    a = encode_instance(inst, spec, np.random.default_rng(0))
-    b = encode_instance(inst, spec, np.random.default_rng(99))
-    assert np.array_equal(a, b)
+    a = encode_set([inst], spec, np.random.default_rng(0))
+    b = encode_set([inst], spec, np.random.default_rng(99))
+    assert np.array_equal(a.vectors, b.vectors)
+    assert a.centers.tolist() == [[0.3, 0.7]]  # jitter 0 keeps the exact center
 
 
 def test_encoding_differs_only_in_one_hot_for_category_change():
-    spec = EncoderSpec(num_classes=3, drop_info=False)
-    a = encode_instance(Instance(0, 0.3, 0.7, 0.2, 0.1, 12.8, 6.4), spec, np.random.default_rng(0))
-    b = encode_instance(Instance(2, 0.3, 0.7, 0.2, 0.1, 12.8, 6.4), spec, np.random.default_rng(0))
+    spec = EncoderSpec(num_classes=3, jitter=0.0)
+    a = encode_one(Instance(0, 0.3, 0.7, 0.2, 0.1, 12.8, 6.4), spec, np.random.default_rng(0))
+    b = encode_one(Instance(2, 0.3, 0.7, 0.2, 0.1, 12.8, 6.4), spec, np.random.default_rng(0))
     assert not np.array_equal(a[:3], b[:3])
     assert np.array_equal(a[3:], b[3:])
 
@@ -113,14 +118,14 @@ def test_encoding_width_matches_spec():
     spec = EncoderSpec(num_classes=5, pos_dim=16, scale_dim=8)
     assert spec.width == 5 + 32 + 16
     inst = Instance(4, 0.5, 0.5, 0.25, 0.25, 16.0, 16.0)
-    assert encode_instance(inst, spec, np.random.default_rng(0)).shape == (spec.width,)
+    assert encode_set([inst] * 3, spec, np.random.default_rng(0)).vectors.shape == (3, spec.width)
 
 
 def test_dropping_changes_only_positional_blocks():
-    spec = EncoderSpec(num_classes=3, pos_dim=8, scale_dim=4, jitter=0.3, drop_info=True)
+    spec = EncoderSpec(num_classes=3, pos_dim=8, scale_dim=4, jitter=0.3)
     inst = Instance(1, 0.5, 0.5, 0.3, 0.3, 19.2, 19.2)
-    a = encode_instance(inst, spec, np.random.default_rng(1))
-    b = encode_instance(inst, spec, np.random.default_rng(2))
+    a = encode_one(inst, spec, np.random.default_rng(1))
+    b = encode_one(inst, spec, np.random.default_rng(2))
     C, P = 3, 8
     assert np.array_equal(a[:C], b[:C])  # one-hot block
     assert not np.array_equal(a[C : C + 2 * P], b[C : C + 2 * P])  # jittered positions
@@ -129,7 +134,7 @@ def test_dropping_changes_only_positional_blocks():
 
 def test_make_query_zero_weights_gives_bias_rows():
     g = ParamGroup("decoder")
-    spec = EncoderSpec(num_classes=2, pos_dim=4, scale_dim=4, drop_info=False)
+    spec = EncoderSpec(num_classes=2, pos_dim=4, scale_dim=4, jitter=0.0)
     f_q = Mlp3(spec.width, 8, 6, g, np.random.default_rng(3), "f_q")
     for layer in (f_q.l1, f_q.l2, f_q.l3):
         layer.weight.data[...] = 0.0
@@ -143,7 +148,7 @@ def test_make_query_zero_weights_gives_bias_rows():
 
 def test_query_rows_independent():
     g = ParamGroup("decoder")
-    spec = EncoderSpec(num_classes=2, pos_dim=4, scale_dim=4, drop_info=False)
+    spec = EncoderSpec(num_classes=2, pos_dim=4, scale_dim=4, jitter=0.0)
     f_q = Mlp3(spec.width, 8, 6, g, np.random.default_rng(4), "f_q")
     i1 = Instance(0, 0.2, 0.2, 0.1, 0.1, 6.4, 6.4)
     i2 = Instance(1, 0.8, 0.8, 0.2, 0.2, 12.8, 12.8)

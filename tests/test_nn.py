@@ -104,11 +104,11 @@ def test_sine_embed_bounded():
 
 
 def test_sine_embed_hand_formula():
-    dim, temp, u = 4, 10000.0, 0.25
-    s0 = temp ** (-0.0 / dim)
-    s1 = temp ** (-2.0 / dim)
+    dim, u = 4, 0.25
+    s0 = 10000.0 ** (-0.0 / dim)
+    s1 = 10000.0 ** (-2.0 / dim)
     expected = [math.sin(u * s0), math.cos(u * s0), math.sin(u * s1), math.cos(u * s1)]
-    assert np.allclose(sine_pos_embed(u, dim, temp), expected, atol=1e-15)
+    assert np.allclose(sine_pos_embed(u, dim), expected, atol=1e-15)
 
 
 def test_sine_embed_rejects_odd_dim():

@@ -7,6 +7,7 @@ from condkd import tensor as T
 from condkd.instances import make_instance
 from condkd.nn import MomentumSGD, sine_pos_embed
 from condkd.pyramid import (
+    STRIDES,
     DensePredictions,
     DetectorConfig,
     FeaturePyramid,
@@ -17,7 +18,7 @@ from condkd.pyramid import (
     flatten_pyramid,
     inherit_parameters,
 )
-from condkd.tensor import ParamGroup, Tensor, backward, finite_diff_check
+from condkd.tensor import ParamGroup, ShapeError, Tensor, backward, finite_diff_check
 
 TINY = DetectorConfig(image_size=16, num_classes=2, feat_dim=4, widths=(2, 3, 4, 4), pos_dim=4)
 DESK = DetectorConfig()
@@ -29,7 +30,7 @@ def build(cfg, group_name="teacher", seed=0):
 
 
 def rand_image(cfg, seed=0):
-    return T.constant(np.random.default_rng(seed).normal(size=(3, cfg.image_size, cfg.image_size)))
+    return T.constant(np.random.default_rng(seed).normal(size=(cfg.image_size, cfg.image_size, 3)))
 
 
 def test_backbone_level_shapes():
@@ -40,8 +41,10 @@ def test_backbone_level_shapes():
 
 def test_backbone_rejects_wrong_image_size():
     det, _ = build(DESK)
-    with pytest.raises(Exception):
-        det.backbone_forward(T.constant(np.zeros((3, 60, 60))))
+    with pytest.raises(ShapeError, match=r"\[64, 64, 3\]"):
+        det.backbone_forward(T.constant(np.zeros((60, 60, 3))))
+    with pytest.raises(ShapeError, match=r"\[64, 64, 3\]"):  # channel-first
+        det.backbone_forward(T.constant(np.zeros((3, 64, 64))))
     with pytest.raises(ValueError):
         ToyDetector(DetectorConfig(image_size=60), ParamGroup("teacher"), np.random.default_rng(0))
 
@@ -155,9 +158,9 @@ def test_head_gradcheck():
 
 
 def manual_preds(cfg, logits, ltrb):
-    shapes = [cfg.level_shape(s) for s in cfg.strides]
+    shapes = [cfg.level_shape(s) for s in STRIDES]
     levels, off = [], 0
-    for s, (h, w) in zip(cfg.strides, shapes):
+    for s, (h, w) in zip(STRIDES, shapes):
         n = h * w
         levels.append((s, Tensor(logits[off : off + n]), Tensor(ltrb[off : off + n])))
         off += n
@@ -177,7 +180,7 @@ def test_det_loss_no_instances_is_negative_bce():
 def test_det_loss_perfect_predictions_near_zero():
     cfg = TINY
     inst = make_instance(1, 0.5, 0.5, 0.6, 0.6, cfg.image_size, cfg.image_size)
-    centers = all_cell_centers(list(cfg.strides), [cfg.level_shape(s) for s in cfg.strides], cfg.image_size)
+    centers = all_cell_centers(list(STRIDES), [cfg.level_shape(s) for s in STRIDES], cfg.image_size)
     assign, ltrb_tgt = assign_cells(centers, [inst])
     logits = np.full((cfg.num_cells, cfg.num_classes), -20.0)
     logits[assign >= 0, inst.category] = 20.0
@@ -270,7 +273,7 @@ def test_inherit_lowers_initial_loss_after_teacher_training():
     rng = np.random.default_rng(100)
     scenes = []
     for _ in range(6):
-        img = T.constant(rng.normal(size=(3, 32, 32)) * 0.1)
+        img = T.constant(rng.normal(size=(32, 32, 3)) * 0.1)
         insts = []
         for _ in range(rng.integers(1, 3)):
             c = int(rng.integers(2))

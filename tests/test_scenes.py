@@ -60,12 +60,24 @@ class TestGeometry:
 
 
 class TestTextures:
+    def test_image_is_channel_last_with_the_box_in_place(self):
+        spec = SceneSpec(num_classes=1, noise_sigma=0.0, max_instances=1,
+                         size_means=(18.0,), size_stds=(3.0,))
+        scene = generate_scene(spec, (5, 0))
+        assert scene.image.shape == (64, 64, 3)
+        x1, y1, x2, y2 = (round(c * 64) for c in scene.instances[0].corners())
+        inside = np.zeros((64, 64), dtype=bool)
+        inside[y1:y2, x1:x2] = True
+        np.testing.assert_array_equal(scene.image.data[inside],
+                                      np.tile(class_colors(0)[0], (inside.sum(), 1)))
+        assert np.all(scene.image.data[~inside] == spec.background)
+
     def test_noiseless_solid_rectangle_has_two_color_regions(self):
         # class 0 paints solid, so background + box = exactly two pixel values
         spec = SceneSpec(num_classes=1, noise_sigma=0.0, max_instances=1,
                          size_means=(18.0,), size_stds=(3.0,))
         scene = generate_scene(spec, (5, 0))
-        pixels = scene.image.data.reshape(3, -1).T
+        pixels = scene.image.data.reshape(-1, 3)
         assert len(np.unique(pixels, axis=0)) == 2
 
     def test_stripes_alternate_every_two_rows(self):

@@ -4,6 +4,8 @@ ablation sweeps, and run-level determinism."""
 import itertools
 import os
 import signal
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -298,6 +300,21 @@ class TestSceneParallel:
         with pytest.raises(BlockingIOError):
             tr.train_teacher(mini_config(teacher_iters=2), str(tmp_path))
         assert len(os.listdir("/dev/fd")) == before
+
+    @pytest.mark.parametrize("prelude, pin, forks", [
+        ("import numpy", False, False), ("", False, True), ("import numpy", True, True)],
+        ids=["numpy-first", "condkd-first", "numpy-first-pinned"])
+    def test_one_process_unless_blas_is_pinned(self, prelude, pin, forks):
+        # numpy's BLAS reads its thread count once, at numpy's first import,
+        # so condkd can pin it only when it is imported first
+        blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+        env |= {v: "1" for v in blas_vars} if pin else {}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(tr.__file__))
+        code = f"{prelude}\nfrom condkd import train\nprint(train._process_count(8))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert int(out) == (min(len(os.sched_getaffinity(0)), 8) if forks else 1)
 
 
 class TestLambdaZero:
