@@ -193,13 +193,13 @@ def verify_gradient_routing(bundle: LossBundle, groups: dict[str, ParamGroup]) -
         T.backward(loss)
         for gname, g in audited.items():
             cells[(lname, gname)] = g.max_abs_grad()
-            if (lname, gname) in _ZERO_CELLS:
-                for pname, p in g.named():
-                    if p.grad is not None and np.any(p.grad != 0.0):
-                        violations.append((lname, gname, pname, float(np.abs(p.grad).max())))
+            if (lname, gname) in _ZERO_CELLS and g.grad.any():
+                # one scan per group; the tensors are walked only to name the leak
+                violations += [(lname, gname, pname, float(np.abs(p.grad).max()))
+                               for pname, p in g.named() if p.grad.any()]
     for g in audited.values():
         g.zero_grad()
     teacher = groups.get("teacher")
-    teacher_frozen = teacher is None or all(
-        not p.requires_grad and p.grad is None for _, p in teacher.named())
+    teacher_frozen = teacher is None or (
+        teacher.grad is None and not any(p.requires_grad for p in teacher.tensors()))
     return RoutingReport(cells, violations, teacher_frozen)

@@ -28,8 +28,8 @@ class Linear:
     def __init__(self, in_dim: int, out_dim: int, group: ParamGroup, rng: np.random.Generator, name: str):
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.weight = group.add(f"{name}.w", Tensor(kaiming_uniform(rng, out_dim, in_dim), requires_grad=True))
-        self.bias = group.add(f"{name}.b", Tensor(np.zeros(out_dim), requires_grad=True))
+        self.weight = group.add(f"{name}.w", kaiming_uniform(rng, out_dim, in_dim))
+        self.bias = group.add(f"{name}.b", np.zeros(out_dim))
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.in_dim:
@@ -87,24 +87,22 @@ def one_hot(c: int, num_categories: int) -> np.ndarray:
 
 
 class MomentumSGD:
-    """Classic momentum: buf = mu*buf + grad; p -= lr*buf. Decoupled decay."""
+    """Classic momentum: buf = mu*buf + grad; p -= lr*buf. Decoupled decay.
+    Elementwise on the group's flat buffers; a frozen group does not move."""
 
     def __init__(self, group: ParamGroup, lr: float, momentum: float = 0.9, weight_decay: float = 0.0):
         self.group = group
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.buf = {name: np.zeros_like(p.data) for name, p in group.named()}
-        self.skipped_missing_grad = 0
+        self.buf = np.zeros_like(group.data)
 
     def step(self) -> None:
-        for name, p in self.group.named():
-            if not p.requires_grad or p.grad is None:
-                self.skipped_missing_grad += 1
-                continue
-            b = self.buf[name]
-            b *= self.momentum
-            b += p.grad
-            p.data *= 1.0 - self.lr * self.weight_decay
-            p.data -= self.lr * b
-            p.grad[...] = 0.0
+        g = self.group
+        if g.grad is None:
+            return
+        self.buf *= self.momentum
+        self.buf += g.grad
+        g.data *= 1.0 - self.lr * self.weight_decay
+        g.data -= self.lr * self.buf
+        g.grad[...] = 0.0

@@ -41,8 +41,8 @@ class Conv2d:
         self.kernel = kernel
         self.stride = stride
         fan_in = kernel * kernel * in_ch
-        self.weight = group.add(f"{name}.w", Tensor(kaiming_uniform(rng, out_ch, fan_in), requires_grad=True))
-        self.bias = group.add(f"{name}.b", Tensor(np.zeros(out_ch), requires_grad=True))
+        self.weight = group.add(f"{name}.w", kaiming_uniform(rng, out_ch, fan_in))
+        self.bias = group.add(f"{name}.b", np.zeros(out_ch))
 
     def __call__(self, x: Tensor) -> Tensor:
         b, h, w, c = x.shape

@@ -782,14 +782,18 @@ def backward(loss: Tensor) -> None:
 
 
 GROUP_NAMES = ("teacher", "student", "decoder", "aux")
+_FIRST_ROOM = 4096  # values a group's first buffers hold; a mini system's groups never grow
 
 
 class ParamGroup:
-    """Named, ordered collection of trainable tensors.
+    """Named, ordered collection of trainable tensors over flat storage.
 
-    Every trainable tensor in a training context belongs to exactly one group;
-    the teacher group is frozen for distillation, after which its tensors stop
-    requiring gradients entirely.
+    Every trainable tensor in a training context belongs to exactly one group,
+    whose ``data`` and ``grad`` buffers hold all their values and gradients in
+    registration order; each tensor's ``.data`` and ``.grad`` are views into
+    them, which only ``bind`` moves. The teacher group is frozen for
+    distillation: its tensors stop requiring gradients, and it holds no
+    gradient storage.
     """
 
     def __init__(self, name: str):
@@ -797,14 +801,48 @@ class ParamGroup:
             raise ValueError(f"unknown group {name!r}; expected one of {GROUP_NAMES}")
         self.name = name
         self.params: dict[str, Tensor] = {}
+        self.data = np.empty(0)
+        self.grad: np.ndarray | None = np.empty(0)  # None once frozen
+        self._room = (self.data, self.grad)  # the arrays data and grad are prefixes of
 
-    def add(self, name: str, t: Tensor) -> Tensor:
+    def add(self, name: str, init) -> Tensor:
+        """Register a new tensor holding a copy of `init`; it requires
+        gradients unless the group is frozen."""
         if name in self.params:
             raise ValueError(f"duplicate parameter name {name!r} in group {self.name!r}")
-        if not t.requires_grad:
-            raise ValueError(f"parameter {name!r} must require grad at registration")
+        init = np.asarray(init, dtype=np.float64)
+        lo, hi = self.data.size, self.data.size + init.size
+        if hi > self._room[0].size:  # doubling keeps registration linear in the group size
+            size = max(hi, 2 * self._room[0].size, _FIRST_ROOM)
+            self.bind(np.empty(size), None if self.grad is None else np.zeros(size))
+        room, grad_room = self._room
+        self.data = room[:hi]
+        t = Tensor(room[lo:hi].reshape(init.shape))
+        t.data[...] = init
+        if grad_room is not None:  # past the used prefix, the room was never written: zeros
+            self.grad = grad_room[:hi]
+            t.requires_grad, t.grad = True, grad_room[lo:hi].reshape(init.shape)
         self.params[name] = t
         return t
+
+    def bind(self, data: np.ndarray, grad: np.ndarray | None = None) -> None:
+        """Move the group's values to the front of the flat array `data`,
+        and its gradients to the front of `grad` if given; every tensor's
+        views follow, and the rest of the arrays is room for later adds."""
+        n = self.data.size
+        data[:n] = self.data
+        self.data = data[:n]
+        if grad is not None:
+            grad[:n] = self.grad
+            self.grad = grad[:n]
+        self._room = (data, self._room[1] if grad is None else grad)
+        lo = 0
+        for t in self.params.values():
+            hi = lo + t.data.size
+            t.data = data[lo:hi].reshape(t.data.shape)
+            if grad is not None:
+                t.grad = grad[lo:hi].reshape(t.data.shape)
+            lo = hi
 
     def named(self) -> Iterable[tuple[str, Tensor]]:
         return self.params.items()
@@ -813,23 +851,21 @@ class ParamGroup:
         return list(self.params.values())
 
     def zero_grad(self) -> None:
-        for t in self.params.values():
-            t.zero_grad()
+        if self.grad is not None:
+            self.grad[...] = 0.0
 
     def freeze(self) -> None:
+        """Drop the gradient storage; tensors added later are frozen too."""
+        self.grad = None
+        self._room = (self._room[0], None)
         for t in self.params.values():
-            t.requires_grad = False
-            t.grad = None
+            t.requires_grad, t.grad = False, None
 
     def max_abs_grad(self) -> float:
-        worst = 0.0
-        for t in self.params.values():
-            if t.grad is not None and t.grad.size:
-                worst = max(worst, float(np.abs(t.grad).max()))
-        return worst
-
-    def __len__(self) -> int:
-        return len(self.params)
+        """Largest |gradient| over the group; NaN if any gradient is NaN."""
+        if self.grad is None or not self.grad.size:
+            return 0.0
+        return float(np.abs(self.grad).max())
 
     def __repr__(self) -> str:
         return f"ParamGroup({self.name!r}, {len(self.params)} params)"

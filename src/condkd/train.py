@@ -120,13 +120,14 @@ class SceneSteps:
     random stream the callback draws from advances the same everywhere. For
     the process's own scenes the callback returns the scalar to
     backpropagate and the scene's loss values; for the others it only makes
-    the draws. Each own scene is backpropagated alone into zeroed ``grad``
-    buffers, which stay private to the process, and then copied to that
+    the draws. Each own scene is backpropagated alone into the groups'
+    zeroed ``grad`` buffers, private to the process, then copied to that
     scene's gradient slot of one shared mapping. The calling process adds
-    the slots left to right in scene order into the parameters' ``grad``,
-    so the sum does not depend on the process count. The parameter arrays
-    live in the same mapping while the loop runs, so an in-place optimizer
-    step reaches every process before its next iteration.
+    the slots left to right in scene order into the groups' ``grad``, so
+    the sum does not depend on the process count. The groups' ``data``
+    buffers live in the same mapping while the loop runs (an in-place
+    optimizer step reaches every process before its next iteration) and
+    are copied back to private memory when it ends.
 
     The workers are forked (POSIX only) at the first ``step``, so a loop of
     zero iterations forks nothing. A worker leaves only through
@@ -136,8 +137,8 @@ class SceneSteps:
     reaps every worker.
     """
 
-    def __init__(self, params: list[Tensor], batch_size: int, width: int, scene):
-        self.params, self.batch, self.width, self.scene = params, batch_size, width, scene
+    def __init__(self, groups: list[ParamGroup], batch_size: int, width: int, scene):
+        self.groups, self.batch, self.width, self.scene = groups, batch_size, width, scene
         self.workers: list[tuple[int, int, int]] = []  # pid, "go" write end, "done" read end
         self.grads = None  # [B x total parameter size] slots, once started
 
@@ -152,18 +153,16 @@ class SceneSteps:
         for pid, _, _ in workers:
             os.waitpid(pid, 0)
         if self.grads is not None:
-            for p in self.params:
-                p.data = p.data.copy()
+            for g in self.groups:
+                g.bind(np.empty_like(g.data))
 
     def _start(self) -> None:
-        b, sizes = self.batch, [p.data.size for p in self.params]
-        self.bounds = np.cumsum([0] + sizes)
-        n = int(self.bounds[-1])
+        b, bounds = self.batch, np.cumsum([0] + [g.data.size for g in self.groups])
+        self.spans = [(g, int(lo), int(hi)) for g, lo, hi in zip(self.groups, bounds, bounds[1:])]
+        n = int(bounds[-1])
         shared = np.frombuffer(mmap.mmap(-1, 8 * ((1 + b) * n + b * self.width)), np.float64)
-        for p, lo, hi in zip(self.params, self.bounds, self.bounds[1:]):
-            view = shared[lo:hi].reshape(p.shape)
-            view[...] = p.data
-            p.data = view
+        for g, lo, hi in self.spans:
+            g.bind(shared[lo:hi])
         self.grads = shared[n:(1 + b) * n].reshape(b, n)
         self.losses = shared[(1 + b) * n:].reshape(b, self.width)
         procs = _process_count(b)
@@ -207,18 +206,18 @@ class SceneSteps:
             if out is None:
                 continue
             root, values = out
-            for p in self.params:
-                p.grad[...] = 0.0
+            for g in self.groups:
+                g.zero_grad()
             T.backward(root)
             slot = self.grads[j]
-            for p, lo, hi in zip(self.params, self.bounds, self.bounds[1:]):
-                slot[lo:hi] = p.grad.reshape(-1)
+            for g, lo, hi in self.spans:
+                slot[lo:hi] = g.grad
             self.losses[j] = values
 
     def step(self, it: int) -> np.ndarray:
         """Iteration `it` on every process: leaves the scene-order sum of the
-        scenes' gradients in each parameter's `grad` and returns the
-        per-scene loss values, [B x width]."""
+        scenes' gradients in each group's `grad` and returns the per-scene
+        loss values, [B x width]."""
         if self.grads is None:
             self._start()
         for _, go, _ in self.workers:
@@ -233,11 +232,10 @@ class SceneSteps:
             raise SceneWorkerError(
                 f"scene worker {pid} failed at iteration {it}:\n{reply.decode()}" if reply
                 else f"scene worker {pid} exited during iteration {it}")
-        total = self.grads[0].copy()
-        for g in self.grads[1:]:
-            total += g
-        for p, lo, hi in zip(self.params, self.bounds, self.bounds[1:]):
-            p.grad[...] = total[lo:hi].reshape(p.shape)
+        for g, lo, hi in self.spans:
+            g.grad[...] = self.grads[0, lo:hi]
+            for slot in self.grads[1:]:
+                g.grad += slot[lo:hi]
         return self.losses.copy()
 
 
@@ -287,7 +285,7 @@ def train_teacher(cfg: ExperimentConfig, out_dir: str, run_name: str = "teacher"
         return det * (1.0 / b), (det.item(),)
 
     last = 0.0
-    with SceneSteps(group.tensors(), b, 1, scene) as steps:
+    with SceneSteps([group], b, 1, scene) as steps:
         for it in range(cfg.teacher_iters):
             last = _scene_mean(steps.step(it)[:, 0])
             if not np.isfinite(last):
@@ -325,6 +323,7 @@ class System:
 def build_system(cfg: ExperimentConfig) -> System:
     """Fresh weights for every group; the teacher group is frozen."""
     groups = {name: ParamGroup(name) for name in ("teacher", "student", "decoder", "aux")}
+    groups["teacher"].freeze()  # before its tensors exist: no gradient storage at all
     teacher = ToyDetector(cfg.teacher_config(), groups["teacher"],
                           np.random.default_rng((cfg.seed, 11)))
     student = ToyDetector(cfg.student_config(), groups["student"],
@@ -336,7 +335,6 @@ def build_system(cfg: ExperimentConfig) -> System:
     f_q = Mlp3(espec.width, cfg.feat_dim, cfg.feat_dim, groups["decoder"],
                np.random.default_rng((cfg.seed, 14)), "f_q")
     aux = AuxHeads(cfg.feat_dim, groups["aux"], np.random.default_rng((cfg.seed, 15)))
-    groups["teacher"].freeze()
     return System(groups, teacher, student, decoder, aux, f_q, espec)
 
 
@@ -491,7 +489,7 @@ def distill_student(cfg: ExperimentConfig, teacher_state: dict, out_dir: str,
         root = total_loss(*(p * (1.0 / b) for p in parts), cfg.lam).total
         return root, tuple(p.item() for p in parts)
 
-    trained = [p for name in TRAINED_GROUPS for p in sys.groups[name].tensors()]
+    trained = [sys.groups[name] for name in TRAINED_GROUPS]
     with SceneSteps(trained, b, 4, scene) as steps:
         for it in range(cfg.student_iters):
             det, idf, loc, dis = (_scene_mean(col) for col in steps.step(it).T)

@@ -17,10 +17,12 @@ does not match the current code. A rebuild took 11-34 min on a 2-vCPU box
 while each training step ran in one process. With each step's scenes split
 across both vCPUs it took 20.8-22.9 min on a slow stretch of that box, where
 the one-process code took 31.2 min, and a later from-empty rebuild took
-26.6 min of training (27.1 min for the whole file). On the same machine it
-reproduces checkpoints and metrics.csv bit for bit; that later rebuild, for a
-change that deleted code without touching the arithmetic, reproduced all 45
-files of the cache it replaced. All other criteria, and c09's
+26.6 min of training (27.1 min for the whole file). The rebuild from empty for
+flat parameter storage took 20.3 min for the whole file (teacher 46 s, c06
+students 386 s, attention sweep 689 s, head sweep 79 s). On the same machine
+it reproduces checkpoints and metrics.csv bit for bit; both from-empty
+rebuilds, for changes that left the arithmetic untouched, reproduced all 45
+files of the cache they replaced. All other criteria, and c09's
 reduced-iteration rerun, recompute from scratch on every run."""
 
 import dataclasses

@@ -212,8 +212,8 @@ class TestGroupBridge:
     def make_group(self):
         g = ParamGroup("student")
         rng = np.random.default_rng(1)
-        g.add("a.w", Tensor(rng.normal(size=(3, 3)), requires_grad=True))
-        g.add("a.b", Tensor(rng.normal(size=3), requires_grad=True))
+        g.add("a.w", rng.normal(size=(3, 3)))
+        g.add("a.b", rng.normal(size=3))
         return g
 
     def test_state_save_load_into_fresh_group(self, tmp_path):

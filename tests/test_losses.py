@@ -1,6 +1,7 @@
 """Auxiliary losses, attention-weighted distillation, and gradient routing."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -245,6 +246,19 @@ class TestRouting:
         bundle = scene_bundle(cfg, sys, 8, np.random.default_rng(9))
         report = verify_gradient_routing(bundle, sys.groups)
         assert not report.teacher_frozen
+        assert not report.passed
+
+    def test_a_single_nonzero_in_a_zero_cell_is_named(self):
+        cfg, sys = mini_system(29)
+        bundle = scene_bundle(cfg, sys, 8, np.random.default_rng(9))
+        w = dict(sys.groups["aux"].named())["aux.f_reg.w"]
+        pick = np.zeros(w.shape)
+        pick[2, 3] = 0.25  # d(det)/dw is zero everywhere else
+        leaky = replace(bundle, det=T.add(bundle.det, T.tsum(T.mul(w, T.constant(pick)))))
+        report = verify_gradient_routing(leaky, sys.groups)
+        assert report.violations == [("det", "aux", "aux.f_reg.w", 0.25)]
+        assert report.cells[("det", "aux")] == 0.25
+        assert "LEAK det -> aux.aux.f_reg.w: |grad|=2.500e-01" in str(report)
         assert not report.passed
 
 

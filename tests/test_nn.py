@@ -138,7 +138,7 @@ def test_one_hot():
 
 def test_sgd_momentum_matches_hand_rollout():
     g = ParamGroup("student")
-    p = g.add("p", Tensor(2.0, requires_grad=True))
+    p = g.add("p", 2.0)
     opt = MomentumSGD(g, lr=0.1, momentum=0.9)
     theta, buf = 2.0, 0.0
     for _ in range(5):
@@ -152,7 +152,7 @@ def test_sgd_momentum_matches_hand_rollout():
 
 def test_zero_learning_rate_never_moves_parameters():
     g = ParamGroup("student")
-    p = g.add("p", Tensor([1.0, 2.0], requires_grad=True))
+    p = g.add("p", [1.0, 2.0])
     before = p.data.copy()
     opt = MomentumSGD(g, lr=0.0, weight_decay=0.3)
     for _ in range(3):
@@ -161,15 +161,37 @@ def test_zero_learning_rate_never_moves_parameters():
     assert np.array_equal(p.data, before)
 
 
-def test_optimizer_counts_missing_grads():
+def test_stepping_a_frozen_group_moves_no_parameter():
     g = ParamGroup("decoder")
-    p = g.add("p", Tensor([1.0], requires_grad=True))
-    opt = MomentumSGD(g, lr=0.1)
-    p.requires_grad = False
-    p.grad = None
+    p = g.add("p", [1.0])
+    opt = MomentumSGD(g, lr=0.1, weight_decay=0.5)
+    g.freeze()
     opt.step()
-    assert opt.skipped_missing_grad == 1
     assert np.array_equal(p.data, [1.0])
+
+
+def test_fused_step_matches_a_per_tensor_loop_bit_for_bit():
+    shapes = [(3, 4), (4,), (), (2, 3, 2)]
+    rng = np.random.default_rng(5)
+    g = ParamGroup("student")
+    ps = [g.add(f"p{i}", rng.normal(size=s)) for i, s in enumerate(shapes)]
+    ref = [p.data.copy() for p in ps]
+    ref_buf = [np.zeros_like(r) for r in ref]
+    lr, mu, wd = 0.05, 0.9, 0.01
+    opt = MomentumSGD(g, lr, mu, wd)
+    for _ in range(5):
+        grads = [rng.normal(size=s) for s in shapes]
+        for p, grad in zip(ps, grads):
+            p.grad[...] = grad
+        opt.step()
+        for r, b, grad in zip(ref, ref_buf, grads):  # the per-tensor update
+            b *= mu
+            b += grad
+            r *= 1.0 - lr * wd
+            r -= lr * b
+        for p, r in zip(ps, ref):
+            assert p.data.tobytes() == r.tobytes()
+        assert not g.grad.any()
 
 
 def test_registry_union_covers_all_trainables():
@@ -182,4 +204,4 @@ def test_registry_union_covers_all_trainables():
     for sub in (net.l1, net.l2, net.l3):
         direct |= {id(sub.weight), id(sub.bias)}
     assert registered == direct
-    assert len(g) == 8
+    assert len(g.tensors()) == 8

@@ -287,7 +287,7 @@ def test_backward_shared_subexpression():
 
 def test_finite_diff_quadratic_bowl():
     g = ParamGroup("student")
-    theta = g.add("theta", Tensor([0.3, -1.2, 4.0], requires_grad=True))
+    theta = g.add("theta", [0.3, -1.2, 4.0])
     center = T.constant([1.0, 2.0, 3.0])
 
     def f():
@@ -301,7 +301,7 @@ def test_finite_diff_quadratic_bowl():
 def test_finite_diff_softmax_cross_entropy():
     rng = np.random.default_rng(11)
     g = ParamGroup("decoder")
-    w = g.add("w", Tensor(rng.normal(size=(3, 4)), requires_grad=True))
+    w = g.add("w", rng.normal(size=(3, 4)))
     x = T.constant(rng.normal(size=(4, 1)))
 
     def f():
@@ -315,7 +315,7 @@ def test_finite_diff_softmax_cross_entropy():
 
 def test_finite_diff_rejects_nondeterministic_f():
     g = ParamGroup("aux")
-    x = g.add("x", Tensor(1.0, requires_grad=True))
+    x = g.add("x", 1.0)
     calls = [0]
 
     def f():
@@ -626,15 +626,64 @@ def test_broadcast_unreduction():
 
 def test_param_group_rules():
     g = ParamGroup("teacher")
-    t = g.add("w", Tensor([1.0], requires_grad=True))
+    t = g.add("w", [1.0])
+    assert t.requires_grad
     with pytest.raises(ValueError):
-        g.add("w", Tensor([2.0], requires_grad=True))
-    with pytest.raises(ValueError):
-        g.add("frozen", Tensor([2.0]))
+        g.add("w", [2.0])
     with pytest.raises(ValueError):
         ParamGroup("oracle")
     g.freeze()
     assert not t.requires_grad and t.grad is None
+    late = g.add("late", [2.0])  # a frozen group registers frozen tensors
+    assert not late.requires_grad and late.grad is None
+
+
+def test_group_storage_is_flat_views_in_registration_order():
+    g = ParamGroup("student")
+    rng = np.random.default_rng(0)
+    inits = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=4), "c": 2.5,
+             "d": rng.normal(size=(2, 3, 700))}  # d outgrows the first buffers
+    ts = {}
+    for name, init in inits.items():
+        ts[name] = g.add(name, init)
+        ts[name].grad[...] = 1.0  # must survive the buffers growing
+    np.testing.assert_array_equal(g.data, np.concatenate([np.ravel(v) for v in inits.values()]))
+    np.testing.assert_array_equal(g.grad, np.ones(g.data.size))
+    lo = 0
+    for name, t in ts.items():
+        assert t.shape == np.shape(inits[name])
+        hi = lo + t.data.size
+        assert np.shares_memory(t.data, g.data[lo:hi]) and np.shares_memory(t.grad, g.grad[lo:hi])
+        lo = hi
+    ts["b"].data[1] = 7.0
+    assert g.data[13] == 7.0
+    g.zero_grad()
+    assert not ts["d"].grad.any()
+    g.bind(np.empty(g.data.size))
+    assert all(np.shares_memory(t.data, g.data) for t in ts.values())
+    assert g.data[13] == 7.0 and ts["c"].item() == 2.5
+
+
+def test_frozen_group_holds_no_gradient_storage():
+    g = ParamGroup("teacher")
+    g.add("w", np.ones((2, 2)))
+    g.freeze()
+    assert g.grad is None and g.max_abs_grad() == 0.0
+    g.zero_grad()  # a no-op, not an error
+
+
+@pytest.mark.parametrize("grads, want", [
+    (([0.5, -2.0], [np.nan]), "nan"),  # Python's max(2.0, nan) kept 2.0
+    (([np.nan], [3.0]), "nan"),
+    (([0.5, -2.0], [1.0]), 2.0),
+    ((), 0.0),  # empty group
+], ids=["nan-last", "nan-first", "finite", "empty"])
+def test_max_abs_grad(grads, want):
+    g = ParamGroup("aux")
+    for i, grad in enumerate(grads):
+        g.add(f"p{i}", np.zeros(len(grad))).grad[...] = grad
+    got = g.max_abs_grad()
+    assert np.isnan(got) if want == "nan" else got == want
 
 
 def test_frozen_tensors_build_no_graph():

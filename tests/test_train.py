@@ -17,7 +17,7 @@ from condkd.checkpoint import CheckpointError, group_state, load_checkpoint
 from condkd.config import ExperimentConfig
 from condkd.decoder import Knowledge
 from condkd.losses import total_loss
-from condkd.pyramid import ToyDetector, flatten_pyramid
+from condkd.pyramid import ToyDetector, flatten_pyramid, inherit_parameters
 from condkd.tensor import ParamGroup
 from condkd.verify import mini_config
 
@@ -300,6 +300,42 @@ class TestSceneParallel:
         with pytest.raises(BlockingIOError):
             tr.train_teacher(mini_config(teacher_iters=2), str(tmp_path))
         assert len(os.listdir("/dev/fd")) == before
+
+    def test_parameters_stay_views_of_their_group_buffers(self, procs, mini_teacher):
+        procs(2)
+        cfg = mini_config()
+        built = tr.build_system(cfg)
+        sys = tr.load_system(cfg, mini_teacher, tr.system_state(built))
+        inherit_parameters(sys.student, sys.teacher)
+        groups = [sys.groups[name] for name in tr.TRAINED_GROUPS]
+        weight = sys.student.conv1.weight  # the student group's first tensor
+
+        def assert_views():
+            for g in groups:
+                for p in g.tensors():
+                    assert np.shares_memory(p.data, g.data) and np.shares_memory(p.grad, g.grad)
+
+        for s in (built, sys):
+            assert s.groups["teacher"].grad is None
+            assert not any(p.requires_grad for p in s.groups["teacher"].tensors())
+        assert_views()
+
+        def scene(it, j, own):
+            if not own:
+                return None
+            loss = T.tsum(T.mul(weight, weight))
+            return loss, (loss.item(),)
+
+        with tr.SceneSteps(groups, cfg.batch_size, 1, scene) as steps:
+            steps.step(0)
+            shared = steps.grads.base
+            assert all(g.data.base is shared for g in groups)
+        assert_no_child_process()
+        assert_views()
+        assert not any(np.shares_memory(g.data, shared) for g in groups)
+        np.testing.assert_allclose(weight.grad, 4.0 * weight.data, rtol=1e-15)
+        weight.data[0, 0] = 5.0
+        assert groups[0].data[0] == 5.0
 
     @pytest.mark.parametrize("prelude, pin, forks", [
         ("import numpy", False, False), ("", False, True), ("import numpy", True, True)],
