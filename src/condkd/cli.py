@@ -87,7 +87,15 @@ def _load_teacher_state(args):
 
 
 def _seeds(raw: str) -> tuple[int, ...]:
-    return tuple(int(s) for s in raw.split(",") if s.strip())
+    """`--seeds` as distinct ints; an empty list or a repeated seed would
+    train nothing or die on the run name it already wrote."""
+    try:
+        seeds = tuple(int(s) for s in raw.split(",") if s.strip())
+    except ValueError:
+        raise ValueError(f"--seeds {raw!r}: expected comma-separated integers") from None
+    if not seeds or len(set(seeds)) != len(seeds):
+        raise ValueError(f"--seeds {raw!r}: need at least one seed and no seed twice")
+    return seeds
 
 
 def cmd_gen_data(args) -> int:
@@ -132,9 +140,9 @@ def cmd_distill(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    seeds = _seeds(args.seeds)
     cfg = _config(args)
-    state = _load_teacher_state(args)
-    results = sweep(cfg, state, args.out_dir, *ABLATIONS[args.which], _seeds(args.seeds))
+    results = sweep(cfg, _load_teacher_state(args), args.out_dir, *ABLATIONS[args.which], seeds)
     print(f"{args.which} ablation ({len(results)} runs):")
     for r in results:
         print(f"  {r.name:<24s} toy-AP@0.5 = {r.toy_ap:.4f}")

@@ -74,8 +74,7 @@ class ExperimentConfig:
             raise ValueError("iteration counts must be >= 0")
 
     def detector_config(self, widths: tuple[int, ...]) -> DetectorConfig:
-        return DetectorConfig(self.image_size, self.num_classes, self.feat_dim,
-                              tuple(widths), self.pos_dim)
+        return DetectorConfig(self.image_size, self.num_classes, self.feat_dim, tuple(widths))
 
     def teacher_config(self) -> DetectorConfig:
         return self.detector_config(self.teacher_widths)
@@ -141,7 +140,10 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
     kwargs = {}
     for name, default in valid.items():
         if name in mapping:
-            kwargs[name] = _coerce(mapping[name], default)
+            try:
+                kwargs[name] = _coerce(mapping[name], default)
+            except ValueError as e:
+                raise ValueError(f"config key {name!r}: {e}") from None
     defaulted = sorted(set(valid) - set(mapping))
     if defaulted:
         logger.info("config defaults used for: %s", ", ".join(defaulted))
@@ -154,4 +156,9 @@ def load_config(path: str | None = None, overrides: dict[str, str] | None = None
         mapping.update(parse_config_file(path))
     if overrides:
         mapping.update({k: str(v) for k, v in overrides.items()})
-    return build_config(mapping)
+    try:
+        return build_config(mapping)
+    except ValueError as e:
+        if path is None:
+            raise
+        raise ValueError(f"{path}: {e}") from None

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pyramid import ToyDetector, cell_centers
+from .pyramid import ToyDetector, layout
 from .scenes import Scene
 
 SCORE_THRESH = 0.5  # a class score above this makes a cell a candidate
@@ -50,18 +50,15 @@ def decode_predictions(det: ToyDetector, image) -> list[Detection]:
     """Dense head outputs to boxes: sigmoid class scores above SCORE_THRESH
     become candidates at their cell center, then per-class NMS."""
     preds = det.det_head_forward(det.backbone_forward(image))
+    centers = layout(det.cfg.image_size).centers
+    logits = np.concatenate([lg.data for _, lg, _ in preds.levels])
+    sides = np.concatenate([lt.data for _, _, lt in preds.levels])
+    probs = 1.0 / (1.0 + np.exp(-logits))
     out: list[Detection] = []
-    for stride, logits, ltrb in preds.levels:
-        shape = det.cfg.level_shape(stride)
-        centers = cell_centers(shape, stride, det.cfg.image_size)
-        probs = 1.0 / (1.0 + np.exp(-logits.data))
-        sides = ltrb.data
-        rows, cats = np.nonzero(probs > SCORE_THRESH)
-        for r, c in zip(rows, cats):
-            cx, cy = centers[r]
-            l, t, rr, b = sides[r]
-            out.append(Detection(int(c), (cx - l, cy - t, cx + rr, cy + b),
-                                 float(probs[r, c])))
+    for r, c in zip(*np.nonzero(probs > SCORE_THRESH)):
+        cx, cy = centers[r]
+        l, t, rr, b = sides[r]
+        out.append(Detection(int(c), (cx - l, cy - t, cx + rr, cy + b), float(probs[r, c])))
     merged: list[Detection] = []
     for c in sorted({d.category for d in out}):
         merged.extend(greedy_nms([d for d in out if d.category == c]))

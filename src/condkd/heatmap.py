@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .decoder import Knowledge
-from .pyramid import FlatPyramid
+from .pyramid import STRIDES, FlatPyramid
 
 
 def write_pgm(path: str, gray: np.ndarray) -> None:
@@ -77,7 +77,7 @@ def export_attention(k: Knowledge, flat: FlatPyramid, instance: int, head: int,
     row = mask[instance]
     paths = []
     offset = 0
-    for stride, (h, w) in zip(flat.strides, flat.shapes):
+    for stride, (h, w) in zip(STRIDES, flat.layout.shapes):
         level = quantize_mask(row[offset:offset + h * w].reshape(h, w))
         offset += h * w
         pgm, ppm = f"{prefix}_s{stride}.pgm", f"{prefix}_s{stride}.ppm"

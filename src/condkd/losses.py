@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .decoder import Knowledge
-from .instances import ConditionSet, Instance
+from .instances import ConditionSet
 from .nn import Linear, Mlp3
 from .tensor import ParamGroup, Tensor
 
@@ -34,15 +34,6 @@ class AuxHeads:
         obj = T.reshape(T.sigmoid(self.f_obj(z)), (n,))
         reg = T.sigmoid(self.f_reg(z))
         return obj, reg
-
-
-def regression_targets(inst: Instance, center: tuple[float, float]) -> np.ndarray:
-    """[l, t, r, b]: distances from the (jittered) center to the box sides,
-    in normalized image coordinates. Negative values pass through when
-    clipping pushed the center outside the box."""
-    x1, y1, x2, y2 = inst.corners()
-    cx, cy = center
-    return np.array([cx - x1, cy - y1, x2 - cx, y2 - cy])
 
 
 def identification_loss(preds: Tensor, flags: np.ndarray) -> Tensor:
@@ -79,7 +70,7 @@ def aux_loss(g: Tensor, conditions: ConditionSet, heads: AuxHeads,
     flags = conditions.flags
     idf = identification_loss(obj, flags) if use_idf else T.constant(0.0)
     if use_loc:
-        # regression_targets for every row at once
+        # [l, t, r, b] from each (jittered) center to its box sides
         sizes = np.array([[inst.w, inst.h] for inst in conditions.instances])
         xy = np.array([[inst.x, inst.y] for inst in conditions.instances])
         near = xy - sizes / 2
@@ -131,13 +122,12 @@ class LossBundle:
     aux_reg: Tensor
     distill: Tensor
     total: Tensor
-    lam: float
 
 
 def total_loss(det: Tensor, aux_idf: Tensor, aux_reg: Tensor, distill: Tensor, lam: float) -> LossBundle:
     """L_total = L_det + L_aux + lambda * L_distill."""
     total = T.add(T.add(det, T.add(aux_idf, aux_reg)), distill * lam)
-    return LossBundle(det, aux_idf, aux_reg, distill, total, lam)
+    return LossBundle(det, aux_idf, aux_reg, distill, total)
 
 
 # which (loss, group) cells of the routing matrix must stay exactly zero

@@ -59,14 +59,36 @@ class DetectorConfig:
     num_classes: int = 3
     feat_dim: int = 32  # shared pyramid width D
     widths: tuple[int, int, int, int] = (16, 32, 48, 48)  # backbone stage channels
-    pos_dim: int = 8  # raw sine width for pyramid positions (split across x/y)
 
-    def level_shape(self, stride: int) -> tuple[int, int]:
-        return (self.image_size // stride, self.image_size // stride)
 
-    @property
-    def num_cells(self) -> int:
-        return sum(h * w for h, w in (self.level_shape(s) for s in STRIDES))
+@dataclass(frozen=True)
+class PyramidLayout:
+    """The cell geometry of the pyramid over STRIDES at one image size, in
+    the row order of the flattened pyramid: level-major, then row-major
+    within a level. Cached, so the arrays are shared and read-only."""
+
+    shapes: tuple[tuple[int, int], ...]  # (H, W) per level of STRIDES
+    centers: np.ndarray  # [L x 2] normalized (cx, cy)
+    sides: np.ndarray  # [L] normalized cell side, stride / image_size
+
+
+@functools.lru_cache(maxsize=16)
+def layout(image_size: int) -> PyramidLayout:
+    """The PyramidLayout of `image_size`: the cell in row y, column x of the
+    stride-s level is centred at ((x + 0.5) * s / image_size,
+    (y + 0.5) * s / image_size)."""
+    shapes, centers, sides = [], [], []
+    for stride in STRIDES:
+        n = image_size // stride
+        ys, xs = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        centers.append(np.stack([(xs.ravel() + 0.5) * stride / image_size,
+                                 (ys.ravel() + 0.5) * stride / image_size], axis=1))
+        sides.append(np.full(n * n, stride / image_size))
+        shapes.append((n, n))
+    lay = PyramidLayout(tuple(shapes), np.concatenate(centers), np.concatenate(sides))
+    lay.centers.flags.writeable = False
+    lay.sides.flags.writeable = False
+    return lay
 
 
 @dataclass
@@ -84,17 +106,15 @@ class FeaturePyramid:
 
 @dataclass
 class FlatPyramid:
-    """All pyramid cells stacked level-major into one matrix.
+    """All pyramid cells stacked into one matrix, in `layout`'s row order.
 
-    A holds the features [L x D]; pos holds fixed positional rows (sine x, sine
-    y, level tag); index maps each row back to its (level, y, x) cell.
+    A holds the features [L x D]; pos holds fixed positional rows (sine x,
+    sine y, level tag).
     """
 
     A: Tensor
     pos: np.ndarray  # read-only, shared by every pyramid of the same geometry
-    index: list[tuple[int, int, int]]
-    strides: list[int]
-    shapes: list[tuple[int, int]]
+    layout: PyramidLayout
 
     @property
     def num_rows(self) -> int:
@@ -136,8 +156,7 @@ class ToyDetector:
         c2 = T.relu(self.conv2(c1))
         c3 = T.relu(self.conv3(c2))  # stride 8
         c4 = T.relu(self.conv4(c3))  # stride 16
-        h8, w8 = self.cfg.level_shape(8)
-        h16, w16 = self.cfg.level_shape(16)
+        (h8, w8), (h16, w16) = layout(s).shapes
         p8 = T.reshape(self.lat8(c3), (h8, w8, self.cfg.feat_dim))
         p16 = T.reshape(self.lat16(c4), (h16, w16, self.cfg.feat_dim))
         return FeaturePyramid([(8, p8), (16, p16)], self.cfg.image_size)
@@ -169,47 +188,18 @@ class DensePredictions:
         return logits, ltrb
 
 
-def cell_centers(shape: tuple[int, int], stride: int, image_size: int) -> np.ndarray:
-    """Normalized (cx, cy) of every cell, row-major, as an [HW x 2] array."""
-    h, w = shape
-    ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    cx = (xs + 0.5) * stride / image_size
-    cy = (ys + 0.5) * stride / image_size
-    return np.stack([cx.ravel(), cy.ravel()], axis=1)
-
-
-def all_cell_centers(strides: list[int], shapes: list[tuple[int, int]], image_size: int) -> np.ndarray:
-    """cell_centers of every level stacked level-major; cached per geometry,
-    so the returned array is read-only."""
-    return _all_cell_centers(tuple(strides), tuple(map(tuple, shapes)), image_size)
-
-
-@functools.lru_cache(maxsize=64)
-def _all_cell_centers(strides: tuple[int, ...], shapes: tuple[tuple[int, int], ...],
-                      image_size: int) -> np.ndarray:
-    out = np.concatenate([cell_centers(sh, st, image_size) for st, sh in zip(strides, shapes)], axis=0)
-    out.flags.writeable = False
-    return out
-
-
-@functools.lru_cache(maxsize=64)
-def _pyramid_layout(strides: tuple[int, ...], shapes: tuple[tuple[int, int], ...],
-                    image_size: int, pos_dim: int) -> tuple[np.ndarray, tuple]:
-    """The positional rows and cell index of flatten_pyramid, which depend on
-    the geometry alone; cached, so the rows are read-only."""
-    pos_rows, index = [], []
-    for li, (stride, (h, w)) in enumerate(zip(strides, shapes)):
-        centers = cell_centers((h, w), stride, image_size)
-        tag = sine_pos_embed((li + 0.5) / len(strides), 2)
-        pos_rows.append(np.concatenate([
-            sine_pos_embed(centers[:, 0], pos_dim // 2),
-            sine_pos_embed(centers[:, 1], pos_dim // 2),
-            np.tile(tag, (h * w, 1)),
-        ], axis=1))
-        index.extend((li, y, x) for y in range(h) for x in range(w))
-    pos = np.concatenate(pos_rows, axis=0)
+@functools.lru_cache(maxsize=16)
+def _positions(image_size: int, pos_dim: int) -> np.ndarray:
+    """The positional rows of flatten_pyramid, which depend on the geometry
+    alone; cached, so read-only."""
+    lay = layout(image_size)
+    tags = [np.tile(sine_pos_embed((li + 0.5) / len(STRIDES), 2), (h * w, 1))
+            for li, (h, w) in enumerate(lay.shapes)]
+    pos = np.concatenate([sine_pos_embed(lay.centers[:, 0], pos_dim // 2),
+                          sine_pos_embed(lay.centers[:, 1], pos_dim // 2),
+                          np.concatenate(tags)], axis=1)
     pos.flags.writeable = False
-    return pos, tuple(index)
+    return pos
 
 
 def flatten_pyramid(pyr: FeaturePyramid, pos_dim: int = 8) -> FlatPyramid:
@@ -219,14 +209,12 @@ def flatten_pyramid(pyr: FeaturePyramid, pos_dim: int = 8) -> FlatPyramid:
     (pos_dim/2 wide each) plus a two-wide sine tag of the level index, so
     cells at matching normalized coordinates on different levels stay distinct.
     """
-    mats, strides, shapes = [], [], []
-    for stride, feat in pyr.levels:
+    mats = []
+    for _, feat in pyr.levels:
         h, w, d = feat.shape
         mats.append(T.reshape(feat, (h * w, d)))
-        strides.append(stride)
-        shapes.append((h, w))
-    pos, index = _pyramid_layout(tuple(strides), tuple(shapes), pyr.image_size, pos_dim)
-    return FlatPyramid(T.concat(mats, axis=0), pos, list(index), strides, shapes)
+    return FlatPyramid(T.concat(mats, axis=0), _positions(pyr.image_size, pos_dim),
+                       layout(pyr.image_size))
 
 
 def assign_cells(centers: np.ndarray, instances: list[Instance]) -> tuple[np.ndarray, np.ndarray]:
@@ -262,9 +250,7 @@ def det_loss(preds: DensePredictions, instances: list[Instance], cfg: DetectorCo
     if any(not inst.is_real for inst in instances):
         raise ValueError("det_loss consumes real instances only")
     logits, ltrb_pred = preds.flat()
-    strides = [s for s, _, _ in preds.levels]
-    shapes = [cfg.level_shape(s) for s in strides]
-    centers = all_cell_centers(strides, shapes, preds.image_size)
+    centers = layout(preds.image_size).centers
     assign, ltrb_tgt = assign_cells(centers, instances)
     targets = np.zeros((centers.shape[0], cfg.num_classes))
     pos = np.flatnonzero(assign >= 0)

@@ -6,8 +6,10 @@ tensor goes out of scope. ``backward`` accumulates into leaf ``grad`` buffers
 until they are explicitly zeroed, so optimizers own the zeroing step.
 
 Only the operations the rest of the package needs are provided; there is no
-general broadcasting beyond numpy-compatible suffix/broadcast shapes, no views,
-and no graph reuse machinery.
+general broadcasting beyond numpy-compatible suffix/broadcast shapes, no view
+ops in the graph (a reshape may share its input's buffer, but no op writes
+through one), and no graph reuse machinery. Each registered parameter's
+``data`` and ``grad`` are views into its group's flat buffers.
 """
 
 from __future__ import annotations
@@ -61,10 +63,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
@@ -73,18 +71,6 @@ class Tensor:
     def zero_grad(self) -> None:
         if self.grad is not None:
             self.grad[...] = 0.0
-
-    def detach(self) -> "Tensor":
-        return detach(self)
-
-    def reshape(self, *shape) -> "Tensor":
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tmean(self, axis=axis, keepdims=keepdims)
 
     def __repr__(self) -> str:
         flags = []
@@ -101,14 +87,8 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return neg(self)
-
     def __sub__(self, other):
         return add(self, neg(as_tensor(other)))
-
-    def __rsub__(self, other):
-        return add(as_tensor(other), neg(self))
 
     def __mul__(self, other):
         return mul(self, other)

@@ -359,7 +359,7 @@ def system_state(sys: System) -> dict[str, np.ndarray]:
             for k, v in group_state(sys.groups[name]).items()}
 
 
-def baseline_mask_row(variant: str, flat: FlatPyramid, instances, image_size: int) -> np.ndarray:
+def baseline_mask_row(variant: str, flat: FlatPyramid, instances) -> np.ndarray:
     """One shared [L] weight row for the attention-free distillation variants.
 
     All rows sum to 1 so every variant feeds the identical loss formula. When
@@ -373,37 +373,30 @@ def baseline_mask_row(variant: str, flat: FlatPyramid, instances, image_size: in
         a = np.abs(flat.A.data).mean(axis=-1)
         e = np.exp(a - a.max())
         return e / e.sum()
-    boxes = [inst.corners() for inst in instances if inst.is_real]
+    if variant not in ("foreground", "fine_grained"):
+        raise ValueError(f"unknown attention variant {variant!r}")
+    # [L x 1] cell columns against [N] box corners give [L x N] cell-box pairs
+    cx, cy = flat.layout.centers[:, :1], flat.layout.centers[:, 1:]
+    boxes = np.array([inst.corners() for inst in instances if inst.is_real]).reshape(-1, 4)
+    x1, y1, x2, y2 = boxes.T
     if variant == "foreground":
-        row = np.zeros(n)
-        for r, (lvl, y, x) in enumerate(flat.index):
-            s = flat.strides[lvl] / image_size
-            cx, cy = (x + 0.5) * s, (y + 0.5) * s
-            if any(x1 < cx < x2 and y1 < cy < y2 for x1, y1, x2, y2 in boxes):
-                row[r] = 1.0
-        return row / row.sum() if row.sum() > 0 else np.full(n, 1.0 / n)
-    if variant == "fine_grained":
+        row = ((x1 < cx) & (cx < x2) & (y1 < cy) & (cy < y2)).any(axis=1).astype(float)
+    else:
         # membership of a cell in a box = fraction of the cell's s x s square
         # the box covers; per-cell max over instances keeps small boxes visible
-        row = np.zeros(n)
-        for r, (lvl, y, x) in enumerate(flat.index):
-            s = flat.strides[lvl] / image_size
-            gx1, gy1 = x * s, y * s
-            best = 0.0
-            for x1, y1, x2, y2 in boxes:
-                ox = max(0.0, min(x2, gx1 + s) - max(x1, gx1))
-                oy = max(0.0, min(y2, gy1 + s) - max(y1, gy1))
-                best = max(best, (ox * oy) / (s * s))
-            row[r] = best
-        return row / row.sum() if row.sum() > 0 else np.full(n, 1.0 / n)
-    raise ValueError(f"unknown attention variant {variant!r}")
+        s = flat.layout.sides[:, None]
+        gx1, gy1 = cx - s / 2, cy - s / 2
+        ox = np.maximum(0.0, np.minimum(x2, gx1 + s) - np.maximum(x1, gx1))
+        oy = np.maximum(0.0, np.minimum(y2, gy1 + s) - np.maximum(y1, gy1))
+        row = ((ox * oy) / (s * s)).max(axis=1, initial=0.0)
+    return row / row.sum() if row.sum() > 0 else np.full(n, 1.0 / n)
 
 
 def substitute_masks(k: Knowledge, variant: str, flat: FlatPyramid, instances,
-                     image_size: int, n_rows: int) -> Knowledge:
+                     n_rows: int) -> Knowledge:
     if variant == "icd":
         return k
-    row = baseline_mask_row(variant, flat, instances, image_size)
+    row = baseline_mask_row(variant, flat, instances)
     fixed = T.constant(np.broadcast_to(row, (k.num_heads, n_rows, row.size)))
     return Knowledge(masks=fixed, values=k.values)
 
@@ -437,7 +430,7 @@ def scene_losses(cfg: ExperimentConfig, sys: System, scene: Scene, stats,
         s_flat = flatten_pyramid(s_pyr, cfg.pos_dim)
         s_values = sys.decoder.student_values(s_flat, detach_weights=distill_detach)
         k_used = substitute_masks(knowledge, cfg.attention_variant, t_flat,
-                                  scene.instances, cfg.image_size, len(conds))
+                                  scene.instances, len(conds))
         dis = distill_loss(k_used, s_values, cset.flags, detach_inputs=distill_detach)
     else:
         dis = T.constant(0.0)

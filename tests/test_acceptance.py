@@ -19,11 +19,12 @@ across both vCPUs it took 20.8-22.9 min on a slow stretch of that box, where
 the one-process code took 31.2 min, and a later from-empty rebuild took
 26.6 min of training (27.1 min for the whole file). The rebuild from empty for
 flat parameter storage took 20.3 min for the whole file (teacher 46 s, c06
-students 386 s, attention sweep 689 s, head sweep 79 s). On the same machine
-it reproduces checkpoints and metrics.csv bit for bit; both from-empty
-rebuilds, for changes that left the arithmetic untouched, reproduced all 45
-files of the cache they replaced. All other criteria, and c09's
-reduced-iteration rerun, recompute from scratch on every run."""
+students 386 s, attention sweep 689 s, head sweep 79 s), and the one for the
+cached pyramid layout 20.9 min (44 s, 381 s, 698 s, 107 s). On the same
+machine it reproduces checkpoints and metrics.csv bit for bit; the three
+from-empty rebuilds, for changes that left the arithmetic untouched,
+reproduced all 45 files of the cache they replaced. All other criteria, and
+c09's reduced-iteration rerun, recompute from scratch on every run."""
 
 import dataclasses
 import hashlib
@@ -44,11 +45,11 @@ from condkd.checkpoint import load_checkpoint, save_checkpoint
 from condkd.config import ATTENTION_VARIANTS, ExperimentConfig
 from condkd.heatmap import export_attention, read_pgm
 from condkd.instances import DatasetStats, build_conditions, condition_center, sample_fakes
-from condkd.losses import _ZERO_CELLS, distill_loss, regression_targets
+from condkd.losses import _ZERO_CELLS, distill_loss
 from condkd.pyramid import flatten_pyramid
 from condkd.verify import mini_config
 
-from helpers import pixel_instance
+from helpers import pixel_instance, regression_targets
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -333,8 +334,7 @@ def test_c04_loss_identities():
     # uniform masks against the hand-reduced mean-over-positions formula
     s_flat = flatten_pyramid(sys_.student.backbone_forward(scene.image), cfg.pos_dim)
     s_values = sys_.decoder.student_values(s_flat, detach_weights=True)
-    uni = tr.substitute_masks(k, "none", flat, scene.instances, cfg.image_size,
-                              len(cset.flags))
+    uni = tr.substitute_masks(k, "none", flat, scene.instances, len(cset.flags))
     got = distill_loss(uni, s_values, cset.flags).item()
 
     def norm(x):
@@ -498,7 +498,7 @@ def test_c10_checkpoint_and_heatmap_round_trips(cache, tmp_path):
     paths = export_attention(k, flat, 0, 0, str(tmp_path / "attn"))
     row = k.masks.data[0, 0]
     heat_ok, offset = True, 0
-    for level, (h, w) in enumerate(flat.shapes):
+    for level, (h, w) in enumerate(flat.layout.shapes):
         seg = row[offset:offset + h * w].reshape(h, w)
         offset += h * w
         back = read_pgm(paths[2 * level])
@@ -506,4 +506,4 @@ def test_c10_checkpoint_and_heatmap_round_trips(cache, tmp_path):
     ok = ckpt_ok and heat_ok
     _line(10, ok, f"checkpoint save/load/save byte-identical with exact array "
                   f"round-trip; heatmap argmax matches mask argmax on "
-                  f"{len(flat.shapes)} levels")
+                  f"{len(flat.layout.shapes)} levels")

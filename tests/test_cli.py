@@ -136,6 +136,17 @@ class TestTrainingCommands:
         out = capsys.readouterr().out
         assert "cascade-1-s2" in out and "cascade-1-s3" in out
 
+    @pytest.mark.parametrize("seeds", ["", ",", "0,0", "1, 2,1"])
+    def test_ablate_rejects_empty_or_repeated_seeds_before_training(
+            self, cfg_file, trained, tmp_path, capsys, seeds):
+        d = str(tmp_path)
+        code = cli.cli_main(["ablate", "cascade", "--config", cfg_file, "--out-dir", d,
+                             "--teacher", os.path.join(trained, "teacher.ckpt"),
+                             "--seeds", seeds])
+        assert code == 1
+        assert f"--seeds {seeds!r}" in capsys.readouterr().err
+        assert os.listdir(d) == []
+
 
 class TestExportAttn:
     def test_writes_heatmaps(self, cfg_file, trained, capsys):
@@ -157,7 +168,7 @@ class TestExportAttn:
         _, flat, _, k = decode_conditions(cfg, sys_, scene.image, scene.instances,
                                           np.random.default_rng((cfg.seed, 30)))
         row, offset = k.masks.data[1, 0], 0
-        for level, (h, w) in enumerate(flat.shapes):
+        for level, (h, w) in enumerate(flat.layout.shapes):
             seg = row[offset:offset + h * w].reshape(h, w)
             offset += h * w
             heat = read_pgm(paths[2 * level])

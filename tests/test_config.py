@@ -78,6 +78,20 @@ class TestBuild:
         with pytest.raises(ValueError, match="boolean"):
             build_config({"inherit": "maybe"})
 
+    @pytest.mark.parametrize("key,raw,bad", [("heads", "four", "four"), ("lam", "eight", "eight"),
+                                             ("inherit", "maybe", "maybe"),
+                                             ("teacher_widths", "16, 32, x, 48", "x")],
+                             ids=["int", "float", "bool", "tuple"])
+    def test_malformed_value_names_its_key(self, key, raw, bad):
+        with pytest.raises(ValueError, match=f"config key '{key}': .*'{bad}'"):
+            build_config({key: raw})
+
+    def test_load_config_names_the_file_of_a_malformed_value(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("heads = four\n")
+        with pytest.raises(ValueError, match=r"c\.cfg: config key 'heads': .*'four'"):
+            load_config(str(path))
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys.*bogus"):
             build_config({"bogus": "1"})

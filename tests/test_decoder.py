@@ -18,7 +18,7 @@ from condkd.decoder import (
     decode_knowledge,
 )
 from condkd.instances import sample_fakes
-from condkd.pyramid import FlatPyramid, flatten_pyramid
+from condkd.pyramid import FlatPyramid, flatten_pyramid, layout
 from condkd.tensor import ParamGroup, Tensor, finite_diff_check
 from condkd.train import dataset_stats, decode_conditions, train_scene
 
@@ -26,12 +26,11 @@ from helpers import mini_system
 
 
 def hand_flat(a, pos=None, pos_width=6):
-    """FlatPyramid around a raw [L x D] array, one single-row level."""
+    """FlatPyramid around a raw [5 x D] array: the 5 cells of a 16px image."""
     arr = a if isinstance(a, Tensor) else T.constant(np.asarray(a, dtype=float))
-    n = arr.shape[0]
     if pos is None:
-        pos = np.zeros((n, pos_width))
-    return FlatPyramid(arr, pos, [(0, 0, i) for i in range(n)], [8], [(1, n)])
+        pos = np.zeros((arr.shape[0], pos_width))
+    return FlatPyramid(arr, pos, layout(16))
 
 
 def zero_linear(lin):

@@ -113,7 +113,7 @@ class TestDecodePredictions:
     def test_fresh_detector_emits_nothing(self):
         # zero-initialized biases put every class probability at exactly 0.5,
         # below the strict threshold
-        cfg = DetectorConfig(image_size=16, num_classes=2, feat_dim=4, widths=(2, 2, 3, 3), pos_dim=4)
+        cfg = DetectorConfig(image_size=16, num_classes=2, feat_dim=4, widths=(2, 2, 3, 3))
         det = ToyDetector(cfg, ParamGroup("teacher"), np.random.default_rng(0))
         for lin in (det.head_out,):
             lin.weight.data[...] = 0.0
@@ -121,7 +121,7 @@ class TestDecodePredictions:
         assert decode_predictions(det, img) == []
 
     def test_forced_logit_produces_box_at_cell_center(self):
-        cfg = DetectorConfig(image_size=16, num_classes=2, feat_dim=4, widths=(2, 2, 3, 3), pos_dim=4)
+        cfg = DetectorConfig(image_size=16, num_classes=2, feat_dim=4, widths=(2, 2, 3, 3))
         det = ToyDetector(cfg, ParamGroup("teacher"), np.random.default_rng(0))
         det.head_out.weight.data[...] = 0.0
         det.head_out.bias.data[...] = [4.0, -4.0, 0.0, 0.0, 0.0, 0.0]
@@ -142,7 +142,7 @@ class TestDecodePredictions:
         assert evaluate_toy_ap(det, scenes) == 0.0
 
     def test_requires_scenes(self):
-        cfg = DetectorConfig(image_size=16, num_classes=2, feat_dim=4, widths=(2, 2, 3, 3), pos_dim=4)
+        cfg = DetectorConfig(image_size=16, num_classes=2, feat_dim=4, widths=(2, 2, 3, 3))
         det = ToyDetector(cfg, ParamGroup("teacher"), np.random.default_rng(0))
         with pytest.raises(ValueError, match="scene"):
             evaluate_toy_ap(det, [])

@@ -13,14 +13,12 @@ from condkd.heatmap import (
     write_pgm,
     write_ppm,
 )
-from condkd.pyramid import FlatPyramid
+from condkd.pyramid import FlatPyramid, layout
 
 
 def two_level_flat():
-    # 2x2 stride-8 grid plus 1x1 stride-16 grid: 5 rows
-    index = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0)]
-    return FlatPyramid(T.constant(np.zeros((5, 4))), np.zeros((5, 6)),
-                       index, [8, 16], [(2, 2), (1, 1)])
+    # a 16px image: 2x2 stride-8 grid plus 1x1 stride-16 grid, 5 rows
+    return FlatPyramid(T.constant(np.zeros((5, 4))), np.zeros((5, 6)), layout(16))
 
 
 def knowledge_for(mask_rows):

@@ -12,15 +12,15 @@ from condkd.pyramid import (
     DetectorConfig,
     FeaturePyramid,
     ToyDetector,
-    all_cell_centers,
     assign_cells,
     det_loss,
     flatten_pyramid,
     inherit_parameters,
+    layout,
 )
 from condkd.tensor import ParamGroup, ShapeError, Tensor, backward, finite_diff_check
 
-TINY = DetectorConfig(image_size=16, num_classes=2, feat_dim=4, widths=(2, 3, 4, 4), pos_dim=4)
+TINY = DetectorConfig(image_size=16, num_classes=2, feat_dim=4, widths=(2, 3, 4, 4))
 DESK = DetectorConfig()
 
 
@@ -68,7 +68,7 @@ def test_backbone_gradcheck():
     def f():
         nonlocal weights
         pyr = det.backbone_forward(img)
-        flat = flatten_pyramid(pyr, TINY.pos_dim)
+        flat = flatten_pyramid(pyr, 4)
         if weights is None:
             weights = T.constant(rng.normal(size=flat.A.shape))
         return T.tsum(T.mul(flat.A, weights))
@@ -80,13 +80,12 @@ def test_backbone_gradcheck():
 def test_flatten_shapes_and_roundtrip():
     det, _ = build(DESK)
     pyr = det.backbone_forward(rand_image(DESK))
-    flat = flatten_pyramid(pyr, DESK.pos_dim)
+    flat = flatten_pyramid(pyr, 8)
     assert flat.A.shape == (80, 32)  # 64 + 16 rows
-    assert flat.pos.shape == (80, DESK.pos_dim + 2)
-    assert len(flat.index) == 80 and len(set(flat.index)) == 80
-    assert flat.strides == [s for s, _ in pyr.levels]
+    assert flat.pos.shape == (80, 8 + 2)
+    assert flat.layout is layout(DESK.image_size)
     offset = 0
-    for (_, feat), (h, w) in zip(pyr.levels, flat.shapes):
+    for (_, feat), (h, w) in zip(pyr.levels, flat.layout.shapes):
         block = flat.A.data[offset:offset + h * w]
         assert np.array_equal(block.reshape(h, w, DESK.feat_dim), feat.data)
         offset += h * w
@@ -102,12 +101,27 @@ def test_flatten_row_order_is_level_then_row_major():
     assert np.array_equal(flat.A.data[1], feat8[0, 1])
     assert np.array_equal(flat.A.data[2], feat8[1, 0])
     assert np.array_equal(flat.A.data[4], feat16[0, 0])
-    assert flat.index == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0)]
+    # the layout's centres run in the same order: level-major, then row-major
+    np.testing.assert_array_equal(
+        flat.layout.centers, [[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75], [0.5, 0.5]])
+    np.testing.assert_array_equal(flat.layout.sides, [0.5, 0.5, 0.5, 0.5, 1.0])
+
+
+def test_layout_is_cached_and_read_only():
+    lay = layout(64)
+    assert layout(64) is lay and lay.shapes == ((8, 8), (4, 4))
+    np.testing.assert_array_equal(lay.sides, [0.125] * 64 + [0.25] * 16)
+    np.testing.assert_array_equal(lay.centers[[0, 1, 8, 64, 79]],
+                                  [[1 / 16, 1 / 16], [3 / 16, 1 / 16], [1 / 16, 3 / 16],
+                                   [1 / 8, 1 / 8], [7 / 8, 7 / 8]])
+    for arr in (lay.centers, lay.sides):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
 
 
 def test_positional_rows_distinct_across_levels():
     det, _ = build(DESK)
-    flat = flatten_pyramid(det.backbone_forward(rand_image(DESK)), DESK.pos_dim)
+    flat = flatten_pyramid(det.backbone_forward(rand_image(DESK)), 8)
     a = flat.pos[:64]  # stride-8 rows
     b = flat.pos[64:]  # stride-16 rows
     d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
@@ -157,10 +171,13 @@ def test_head_gradcheck():
     assert report.passed, str(report)
 
 
+def num_cells(cfg):
+    return layout(cfg.image_size).centers.shape[0]
+
+
 def manual_preds(cfg, logits, ltrb):
-    shapes = [cfg.level_shape(s) for s in STRIDES]
     levels, off = [], 0
-    for s, (h, w) in zip(STRIDES, shapes):
+    for s, (h, w) in zip(STRIDES, layout(cfg.image_size).shapes):
         n = h * w
         levels.append((s, Tensor(logits[off : off + n]), Tensor(ltrb[off : off + n])))
         off += n
@@ -170,8 +187,8 @@ def manual_preds(cfg, logits, ltrb):
 def test_det_loss_no_instances_is_negative_bce():
     cfg = TINY
     rng = np.random.default_rng(6)
-    logits = rng.normal(size=(cfg.num_cells, cfg.num_classes))
-    ltrb = np.abs(rng.normal(size=(cfg.num_cells, 4)))
+    logits = rng.normal(size=(num_cells(cfg), cfg.num_classes))
+    ltrb = np.abs(rng.normal(size=(num_cells(cfg), 4)))
     loss = det_loss(manual_preds(cfg, logits, ltrb), [], cfg)
     expected = np.log1p(np.exp(logits)).sum()  # all-negative BCE, hand form
     assert loss.item() == pytest.approx(expected, rel=1e-12)
@@ -180,9 +197,9 @@ def test_det_loss_no_instances_is_negative_bce():
 def test_det_loss_perfect_predictions_near_zero():
     cfg = TINY
     inst = make_instance(1, 0.5, 0.5, 0.6, 0.6, cfg.image_size, cfg.image_size)
-    centers = all_cell_centers(list(STRIDES), [cfg.level_shape(s) for s in STRIDES], cfg.image_size)
+    centers = layout(cfg.image_size).centers
     assign, ltrb_tgt = assign_cells(centers, [inst])
-    logits = np.full((cfg.num_cells, cfg.num_classes), -20.0)
+    logits = np.full((num_cells(cfg), cfg.num_classes), -20.0)
     logits[assign >= 0, inst.category] = 20.0
     loss = det_loss(manual_preds(cfg, logits, ltrb_tgt), [inst], cfg)
     assert (assign >= 0).sum() > 0
@@ -197,8 +214,8 @@ def test_det_loss_permutation_invariant():
         make_instance(1, 0.6, 0.6, 0.5, 0.4, cfg.image_size, cfg.image_size),
         make_instance(1, 0.5, 0.4, 0.3, 0.3, cfg.image_size, cfg.image_size),
     ]
-    logits = rng.normal(size=(cfg.num_cells, cfg.num_classes))
-    ltrb = np.abs(rng.normal(size=(cfg.num_cells, 4)))
+    logits = rng.normal(size=(num_cells(cfg), cfg.num_classes))
+    ltrb = np.abs(rng.normal(size=(num_cells(cfg), 4)))
     a = det_loss(manual_preds(cfg, logits, ltrb), insts, cfg).item()
     b = det_loss(manual_preds(cfg, logits, ltrb), insts[::-1], cfg).item()
     assert a == b
@@ -219,17 +236,17 @@ def test_det_loss_nonnegative():
     for _ in range(10):
         insts = [make_instance(int(rng.integers(cfg.num_classes)), *rng.uniform(0.3, 0.7, 2),
                                *rng.uniform(0.2, 0.5, 2), cfg.image_size, cfg.image_size)]
-        logits = rng.normal(size=(cfg.num_cells, cfg.num_classes))
-        ltrb = np.abs(rng.normal(size=(cfg.num_cells, 4)))
+        logits = rng.normal(size=(num_cells(cfg), cfg.num_classes))
+        ltrb = np.abs(rng.normal(size=(num_cells(cfg), 4)))
         assert det_loss(manual_preds(cfg, logits, ltrb), insts, cfg).item() >= 0.0
 
 
 def test_det_loss_rejects_fakes():
     cfg = TINY
     fake = make_instance(0, 0.5, 0.5, 0.3, 0.3, 16, 16, is_real=False)
-    logits = np.zeros((cfg.num_cells, cfg.num_classes))
+    logits = np.zeros((num_cells(cfg), cfg.num_classes))
     with pytest.raises(ValueError):
-        det_loss(manual_preds(cfg, logits, np.ones((cfg.num_cells, 4))), [fake], cfg)
+        det_loss(manual_preds(cfg, logits, np.ones((num_cells(cfg), 4))), [fake], cfg)
 
 
 def test_inherit_identical_architectures():
@@ -245,7 +262,7 @@ def test_inherit_identical_architectures():
 
 def test_inherit_shape_filter_skips_mismatched_laterals():
     t, _ = build(TINY, "teacher", seed=10)
-    s, _ = build(DetectorConfig(image_size=16, num_classes=2, feat_dim=4, widths=(2, 2, 3, 3), pos_dim=4),
+    s, _ = build(DetectorConfig(image_size=16, num_classes=2, feat_dim=4, widths=(2, 2, 3, 3)),
                  "student", seed=11)
     before = s.conv1.weight.data.copy()
     copied = inherit_parameters(s, t)
@@ -260,7 +277,7 @@ def test_inherit_shape_filter_skips_mismatched_laterals():
 def test_inherit_nothing_matches_warns():
     t, _ = build(TINY, "teacher", seed=10)
     # different pyramid width and class count: no non-backbone shape survives
-    s, _ = build(DetectorConfig(image_size=16, num_classes=3, feat_dim=6, widths=(2, 3, 4, 4), pos_dim=4),
+    s, _ = build(DetectorConfig(image_size=16, num_classes=3, feat_dim=6, widths=(2, 3, 4, 4)),
                  "student", seed=11)
     with pytest.warns(UserWarning):
         assert inherit_parameters(s, t) == 0
@@ -269,7 +286,7 @@ def test_inherit_nothing_matches_warns():
 def test_inherit_lowers_initial_loss_after_teacher_training():
     # seeded run: the trained head carries class-rate and box-scale calibration
     # that transfers even onto an untrained student backbone
-    cfg = DetectorConfig(image_size=32, num_classes=2, feat_dim=8, widths=(4, 6, 8, 8), pos_dim=4)
+    cfg = DetectorConfig(image_size=32, num_classes=2, feat_dim=8, widths=(4, 6, 8, 8))
     rng = np.random.default_rng(100)
     scenes = []
     for _ in range(6):

@@ -17,11 +17,12 @@ from condkd.checkpoint import CheckpointError, group_state, load_checkpoint
 from condkd.config import ExperimentConfig
 from condkd.decoder import Knowledge
 from condkd.losses import total_loss
-from condkd.pyramid import ToyDetector, flatten_pyramid, inherit_parameters
+from condkd.pyramid import ToyDetector, assign_cells, flatten_pyramid, inherit_parameters
+from condkd.scenes import scene_instances
 from condkd.tensor import ParamGroup
 from condkd.verify import mini_config
 
-from helpers import pixel_instance
+from helpers import loop_mask_row, pixel_instance
 
 
 def read_csv(out_dir):
@@ -373,33 +374,37 @@ class TestLambdaZero:
         assert any(not np.array_equal(sa[k], sc[k]) for k in sa if k.startswith("student."))
 
 
+def teacher_flat(cfg):
+    """The flat teacher pyramid of cfg's training scene 0, and that scene."""
+    scene = tr.train_scene(cfg, 0)
+    return scene, flatten_pyramid(tr.build_system(cfg).teacher.backbone_forward(scene.image),
+                                  cfg.pos_dim)
+
+
 @pytest.fixture(scope="module")
 def mini_flat():
     """Teacher features for one mini scene: 5 rows (2x2 at stride 8, 1x1 at 16)."""
     cfg = mini_config()
-    sys = tr.build_system(cfg)
-    scene = tr.train_scene(cfg, 0)
-    flat = flatten_pyramid(sys.teacher.backbone_forward(scene.image), cfg.pos_dim)
-    return cfg, scene, flat
+    return (cfg, *teacher_flat(cfg))
 
 
 class TestBaselineMasks:
     @pytest.mark.parametrize("variant", ["none", "foreground", "fine_grained", "activation"])
     def test_rows_are_probabilities(self, mini_flat, variant):
         cfg, scene, flat = mini_flat
-        row = tr.baseline_mask_row(variant, flat, scene.instances, cfg.image_size)
+        row = tr.baseline_mask_row(variant, flat, scene.instances)
         assert row.shape == (flat.num_rows,)
         assert np.all(row >= 0.0)
         assert abs(row.sum() - 1.0) < 1e-12
 
     def test_none_is_uniform(self, mini_flat):
         cfg, scene, flat = mini_flat
-        row = tr.baseline_mask_row("none", flat, scene.instances, cfg.image_size)
+        row = tr.baseline_mask_row("none", flat, scene.instances)
         np.testing.assert_array_equal(row, np.full(5, 0.2))
 
     def test_activation_is_softmax_of_mean_abs_feature(self, mini_flat):
         cfg, scene, flat = mini_flat
-        row = tr.baseline_mask_row("activation", flat, scene.instances, cfg.image_size)
+        row = tr.baseline_mask_row("activation", flat, scene.instances)
         a = np.abs(flat.A.data).mean(axis=-1)
         want = np.exp(a - a.max())
         np.testing.assert_allclose(row, want / want.sum(), rtol=0, atol=1e-15)
@@ -409,20 +414,20 @@ class TestBaselineMasks:
         # left half of the 16px image: stride-8 centers x=0.25 fall inside,
         # x=0.75 outside, and the stride-16 center sits on the edge (excluded)
         inst = [pixel_instance(0, 0, 0, 8, 16)]
-        row = tr.baseline_mask_row("foreground", flat, inst, cfg.image_size)
+        row = tr.baseline_mask_row("foreground", flat, inst)
         np.testing.assert_array_equal(row, [0.5, 0.0, 0.5, 0.0, 0.0])
 
     def test_foreground_ignores_fake_instances(self, mini_flat):
         cfg, _, flat = mini_flat
         inst = [pixel_instance(0, 0, 0, 8, 16),
                 pixel_instance(0, 8, 0, 16, 16, is_real=False)]
-        row = tr.baseline_mask_row("foreground", flat, inst, cfg.image_size)
+        row = tr.baseline_mask_row("foreground", flat, inst)
         np.testing.assert_array_equal(row, [0.5, 0.0, 0.5, 0.0, 0.0])
 
     def test_fine_grained_weights_by_cell_coverage(self, mini_flat):
         cfg, _, flat = mini_flat
         inst = [pixel_instance(0, 0, 0, 8, 16)]
-        row = tr.baseline_mask_row("fine_grained", flat, inst, cfg.image_size)
+        row = tr.baseline_mask_row("fine_grained", flat, inst)
         # stride-8 col 0 fully covered, col 1 untouched, stride-16 cell half
         np.testing.assert_allclose(row, np.array([1, 0, 1, 0, 0.5]) / 2.5,
                                    rtol=0, atol=1e-15)
@@ -430,13 +435,35 @@ class TestBaselineMasks:
     def test_geometric_variants_fall_back_to_uniform(self, mini_flat):
         cfg, _, flat = mini_flat
         for variant in ("foreground", "fine_grained"):
-            row = tr.baseline_mask_row(variant, flat, [], cfg.image_size)
+            row = tr.baseline_mask_row(variant, flat, [])
             np.testing.assert_array_equal(row, np.full(5, 0.2))
+
+    @pytest.mark.parametrize("variant", ["foreground", "fine_grained"])
+    @pytest.mark.parametrize("cfg", [mini_config(), ExperimentConfig()], ids=["16px", "64px"])
+    def test_rows_match_the_cell_loop_bit_for_bit(self, cfg, variant):
+        # stride / image size is a power of two at both sizes, so the layout's
+        # centres and the loop's per-cell products are exact and must agree
+        _, flat = teacher_flat(cfg)
+        for i in range(60):
+            insts = scene_instances(cfg.scene_spec(), (cfg.seed, 1, i))
+            want = loop_mask_row(variant, insts, cfg.image_size)
+            assert tr.baseline_mask_row(variant, flat, insts).tobytes() == want.tobytes(), i
+
+    def test_foreground_cells_are_the_detection_positives_at_48px(self):
+        # 8/48 and 16/48 are not dyadic: two expressions for a centre differ in
+        # the last bit and flip the strict inside test on pixel-aligned edges
+        cfg = mini_config(image_size=48)
+        _, flat = teacher_flat(cfg)
+        for i in range(40):
+            insts = scene_instances(cfg.scene_spec(), (cfg.seed, 1, i))
+            pos = assign_cells(flat.layout.centers, insts)[0] >= 0
+            row = tr.baseline_mask_row("foreground", flat, insts)
+            np.testing.assert_array_equal(row > 0, pos if pos.any() else np.ones_like(pos))
 
     def test_unknown_variant_rejected(self, mini_flat):
         cfg, scene, flat = mini_flat
         with pytest.raises(ValueError, match="variant"):
-            tr.baseline_mask_row("uniform", flat, scene.instances, cfg.image_size)
+            tr.baseline_mask_row("uniform", flat, scene.instances)
 
 
 def graph_nodes(loss):
@@ -470,12 +497,12 @@ class TestSubstituteMasks:
     def test_icd_returns_same_object(self, mini_flat):
         cfg, scene, flat = mini_flat
         k = self.make_knowledge(3, flat.num_rows)
-        assert tr.substitute_masks(k, "icd", flat, scene.instances, 16, 3) is k
+        assert tr.substitute_masks(k, "icd", flat, scene.instances, 3) is k
 
     def test_baseline_replaces_masks_keeps_values(self, mini_flat):
         cfg, scene, flat = mini_flat
         k = self.make_knowledge(3, flat.num_rows)
-        sub = tr.substitute_masks(k, "none", flat, scene.instances, 16, 3)
+        sub = tr.substitute_masks(k, "none", flat, scene.instances, 3)
         assert sub.num_heads == k.num_heads
         np.testing.assert_array_equal(sub.masks.data, np.full((2, 3, 5), 0.2))
         assert sub.values is k.values
