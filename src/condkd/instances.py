@@ -111,13 +111,9 @@ def compute_stats(scenes: list[list[Instance]], num_classes: int, image_w: int, 
     return DatasetStats(freq, mean_w, std_w, mean_h, std_h, image_w, image_h)
 
 
-def jitter_center(box: tuple[float, float, float, float], a: float, rng: np.random.Generator) -> tuple[float, float]:
-    """Shift the center by U[-a,a] of the box size per axis, clipped to [0,1]."""
-    x, y, w, h = box
-    if a == 0.0:
-        return x, y
-    phi_x, phi_y = rng.uniform(-a, a, size=2)
-    return (min(max(x + phi_x * w, 0.0), 1.0), min(max(y + phi_y * h, 0.0), 1.0))
+def jitter_draws(n: int, a: float, rng: np.random.Generator) -> np.ndarray:
+    """The center jitter of n boxes, U[-a,a] per axis: [n x 2]; a = 0 draws nothing."""
+    return rng.uniform(-a, a, (n, 2)) if a != 0.0 else np.zeros((n, 2))
 
 
 def scale_indicator(w_px: float, h_px: float) -> tuple[int, int]:
@@ -146,12 +142,6 @@ class EncoderSpec:
     @property
     def width(self) -> int:
         return self.num_classes + 2 * self.pos_dim + 2 * self.scale_dim
-
-
-def condition_center(inst: Instance, spec: EncoderSpec, rng: np.random.Generator) -> tuple[float, float]:
-    """The jittered center the condition vector will encode; jitter 0 draws
-    nothing and keeps the exact center."""
-    return jitter_center((inst.x, inst.y, inst.w, inst.h), spec.jitter, rng)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -183,13 +173,14 @@ class ConditionSet:
 def encode_set(instances: list[Instance], spec: EncoderSpec, rng: np.random.Generator,
                include_scale: bool = True) -> ConditionSet:
     """Condition vectors of `instances`, one row each in the EncoderSpec
-    layout, with one center draw per instance in order and the sine codes of
-    all centers computed in one call per axis. include_scale=False zeroes the
-    scale-indicator block (the scale-hint ablation)."""
+    layout; each center moves by jitter_draws times its box size, clipped to
+    [0,1], and the sine codes of all centers take one call per axis.
+    include_scale=False zeroes the scale-indicator block (scale-hint ablation)."""
     if not instances:
         return ConditionSet([], np.zeros((0, spec.width)), np.zeros((0, 2)))
     c, p = spec.num_classes, spec.pos_dim
-    centers = np.array([condition_center(inst, spec, rng) for inst in instances])
+    boxes = np.array([(i.x, i.y, i.w, i.h) for i in instances])
+    centers = np.clip(boxes[:, :2] + jitter_draws(len(boxes), spec.jitter, rng) * boxes[:, 2:], 0, 1)
     out = np.zeros((len(instances), spec.width))
     for i, inst in enumerate(instances):
         out[i, :c] = one_hot(inst.category, c)
@@ -206,6 +197,14 @@ def make_query(encoded: np.ndarray, f_q: Mlp3) -> Tensor:
     return f_q(T.constant(encoded))
 
 
+def fake_draws(stats: DatasetStats, n: int, rng: np.random.Generator) -> list[tuple]:
+    """Every draw of n fakes in order: categories, then per fake (c, w_px, h_px, cx, cy)."""
+    cats = rng.choice(stats.num_classes, size=n, p=stats.class_freq / stats.class_freq.sum())
+    return [(int(c), rng.normal(stats.mean_w[c], stats.std_w[c]),
+             rng.normal(stats.mean_h[c], stats.std_h[c]), *rng.uniform(0.0, 1.0, 2).tolist())
+            for c in cats]
+
+
 def sample_fakes(stats: DatasetStats, n_real: int, ratio: int, rng: np.random.Generator) -> list[Instance]:
     """ratio*n_real fake instances drawn from dataset statistics.
 
@@ -215,15 +214,11 @@ def sample_fakes(stats: DatasetStats, n_real: int, ratio: int, rng: np.random.Ge
     """
     if stats.total == 0:
         raise ValueError("sample_fakes needs nonempty dataset statistics")
-    n = ratio * n_real
-    probs = stats.class_freq / stats.class_freq.sum()
-    cats = rng.choice(stats.num_classes, size=n, p=probs)
     out = []
-    for c in cats:
-        w_px = min(max(rng.normal(stats.mean_w[c], stats.std_w[c]), 1.0), float(stats.image_w))
-        h_px = min(max(rng.normal(stats.mean_h[c], stats.std_h[c]), 1.0), float(stats.image_h))
-        cx, cy = rng.uniform(0.0, 1.0, size=2).tolist()
-        out.append(make_instance(int(c), cx, cy, w_px / stats.image_w, h_px / stats.image_h,
+    for c, w_px, h_px, cx, cy in fake_draws(stats, ratio * n_real, rng):
+        w_px = min(max(w_px, 1.0), float(stats.image_w))
+        h_px = min(max(h_px, 1.0), float(stats.image_h))
+        out.append(make_instance(c, cx, cy, w_px / stats.image_w, h_px / stats.image_h,
                                  stats.image_w, stats.image_h, is_real=False))
     return out
 
@@ -232,3 +227,9 @@ def build_conditions(reals: list[Instance], stats: DatasetStats, ratio: int,
                      rng: np.random.Generator) -> list[Instance]:
     """Per-scene condition set: the real instances followed by sampled fakes."""
     return list(reals) + sample_fakes(stats, len(reals), ratio, rng)
+
+
+def skip_conditions(n_real: int, stats: DatasetStats, ratio: int, spec: EncoderSpec, rng) -> None:
+    """Advance `rng` past a scene of n_real real instances exactly as
+    build_conditions and then encode_set do, making only their draws."""
+    jitter_draws(n_real + len(fake_draws(stats, ratio * n_real, rng)), spec.jitter, rng)

@@ -87,12 +87,17 @@ def _sample_box(spec: SceneSpec, category: int, rng: np.random.Generator) -> tup
     return x1, y1, x1 + w, y1 + h
 
 
+def instance_count(spec: SceneSpec, rng: np.random.Generator) -> int:
+    """A scene's number of instances: the first draw of its stream."""
+    return int(rng.integers(spec.min_instances, spec.max_instances + 1))
+
+
 def _draw_layout(spec: SceneSpec, rng: np.random.Generator):
     """Every draw of a scene but its noise: (instance, pixel box) pairs in
     paint order."""
     s = spec.image_size
     layout = []
-    for _ in range(int(rng.integers(spec.min_instances, spec.max_instances + 1))):
+    for _ in range(instance_count(spec, rng)):
         category = int(rng.integers(spec.num_classes))
         x1, y1, x2, y2 = box = _sample_box(spec, category, rng)
         layout.append((make_instance(category, (x1 + x2) / 2 / s, (y1 + y2) / 2 / s,

@@ -824,6 +824,10 @@ class ParamGroup:
                 t.grad = grad[lo:hi].reshape(t.data.shape)
             lo = hi
 
+    def trim(self) -> None:
+        """Move values and gradients to private arrays of exactly their size."""
+        self.bind(np.empty(self.data.size), None if self.grad is None else np.empty(self.data.size))
+
     def named(self) -> Iterable[tuple[str, Tensor]]:
         return self.params.items()
 

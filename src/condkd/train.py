@@ -5,7 +5,7 @@ Every run draws its scenes from a per-seed stream (seed, 1, i) and evaluates
 on a held-out stream (seed, 2, i), so runs that share a seed consume
 bit-identical data regardless of variant, and no training scene ever leaks
 into evaluation. Both training loops split each iteration's scenes across
-forked processes (`SceneSteps`); the results do not depend on how many.
+forked processes that steal work (`SceneSteps`), bit-identically at any count.
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ from .checkpoint import CheckpointError, group_state, load_group, save_checkpoin
 from .config import ATTENTION_VARIANTS, ExperimentConfig
 from .decoder import ConditionalDecoder, Knowledge
 from .evaluate import evaluate_toy_ap
-from .instances import EncoderSpec, build_conditions, compute_stats, encode_set, make_query
+from .instances import EncoderSpec, build_conditions, compute_stats, encode_set, make_query, skip_conditions
 from .losses import AuxHeads, aux_loss, distill_loss, total_loss
 from .nn import Mlp3, MomentumSGD
 from .pyramid import (STRIDES, FlatPyramid, ToyDetector, det_loss, flatten_pyramid,
                       inherit_parameters)
-from .scenes import Scene, generate_scene, scene_instances
+from .scenes import Scene, generate_scene, instance_count, scene_instances
 from .tensor import ParamGroup, Tensor
 
 METRICS_HEADER = "run,iter,loss_det,loss_aux_idf,loss_aux_reg,loss_distill,toy_ap"
@@ -116,18 +116,24 @@ class SceneSteps:
     """The training step of one loop, its B scenes split into contiguous
     blocks, one block per process; the calling process takes the first.
 
-    Every process calls ``scene(it, j, own)`` for j = 0..B-1 in order, so a
-    random stream the callback draws from advances the same everywhere. For
-    the process's own scenes the callback returns the scalar to
-    backpropagate and the scene's loss values; for the others it only makes
-    the draws. Each own scene is backpropagated alone into the groups'
-    zeroed ``grad`` buffers, private to the process, then copied to that
-    scene's gradient slot of one shared mapping. The calling process adds
-    the slots left to right in scene order into the groups' ``grad``, so
-    the sum does not depend on the process count. The groups' ``data``
-    buffers live in the same mapping while the loop runs (an in-place
-    optimizer step reaches every process before its next iteration) and
-    are copied back to private memory when it ends.
+    Every process passes scenes j = 0..B-1 in order, calling
+    ``scene(it, j, own)``: for a scene it computes (own true) the callback
+    returns the scalar to backpropagate and the scene's loss values; for the
+    others it only makes the scene's draws from the loop's stream `rng`. A
+    process computes its block's first scene and each later one it still
+    claims (one lock over a shared map). Past scene B-1 it steals: until
+    none is left, it claims the highest unclaimed scene, never a block's
+    first, and computes it from the `rng` state it recorded at that scene's
+    start. Then it puts `rng` at its state after scene B-1.
+
+    Each computed scene is backpropagated alone into the groups' zeroed
+    ``grad`` buffers, private to the process, then copied to that scene's
+    gradient slot of one shared mapping. The calling process adds the slots
+    left to right in scene order into the groups' ``grad``, so the sum
+    depends neither on the process count nor on who computed which scene.
+    The groups' ``data`` live in the same mapping while the loop runs (an
+    in-place optimizer step reaches every process before its next
+    iteration), and move back to private memory, room trimmed, at its end.
 
     The workers are forked (POSIX only) at the first ``step``, so a loop of
     zero iterations forks nothing. A worker leaves only through
@@ -137,8 +143,9 @@ class SceneSteps:
     reaps every worker.
     """
 
-    def __init__(self, groups: list[ParamGroup], batch_size: int, width: int, scene):
+    def __init__(self, groups: list[ParamGroup], batch_size: int, width: int, scene, rng=None):
         self.groups, self.batch, self.width, self.scene = groups, batch_size, width, scene
+        self.rng = np.random.default_rng(0) if rng is None else rng  # unused if not given
         self.workers: list[tuple[int, int, int]] = []  # pid, "go" write end, "done" read end
         self.grads = None  # [B x total parameter size] slots, once started
 
@@ -154,19 +161,22 @@ class SceneSteps:
             os.waitpid(pid, 0)
         if self.grads is not None:
             for g in self.groups:
-                g.bind(np.empty_like(g.data))
+                g.trim()
 
     def _start(self) -> None:
+        from multiprocessing import get_context  # a 15 ms import, paid only by a started loop
         b, bounds = self.batch, np.cumsum([0] + [g.data.size for g in self.groups])
         self.spans = [(g, int(lo), int(hi)) for g, lo, hi in zip(self.groups, bounds, bounds[1:])]
         n = int(bounds[-1])
-        shared = np.frombuffer(mmap.mmap(-1, 8 * ((1 + b) * n + b * self.width)), np.float64)
+        shared = np.frombuffer(mmap.mmap(-1, 8 * ((1 + b) * n + b * (self.width + 1))), np.float64)
         for g, lo, hi in self.spans:
             g.bind(shared[lo:hi])
         self.grads = shared[n:(1 + b) * n].reshape(b, n)
-        self.losses = shared[(1 + b) * n:].reshape(b, self.width)
+        self.losses = shared[(1 + b) * n:-b].reshape(b, self.width)
+        self.claims, self.lock = shared[-b:], get_context("fork").Lock()
         procs = _process_count(b)
         edges = [k * b // procs for k in range(procs + 1)]
+        self.firsts = np.isin(np.arange(b), edges[:-1]).astype(float)  # claimed at the start
         self.own = range(edges[0], edges[1])
         for lo, hi in zip(edges[1:], edges[2:]):
             go_r, go_w = os.pipe()
@@ -200,19 +210,37 @@ class SceneSteps:
         finally:
             os._exit(0)
 
-    def _run(self, it: int, own: range) -> None:
+    def _claim(self, scenes) -> int | None:
+        """Claim the last of `scenes` that no process has claimed, if any."""
+        with self.lock:
+            for j in reversed(scenes):
+                if not self.claims[j]:
+                    self.claims[j] = 1.0
+                    return j
+
+    def _run(self, it: int, block: range) -> None:
+        rng, starts = self.rng, []
         for j in range(self.batch):
-            out = self.scene(it, j, j in own)
-            if out is None:
-                continue
-            root, values = out
-            for g in self.groups:
-                g.zero_grad()
-            T.backward(root)
-            slot = self.grads[j]
-            for g, lo, hi in self.spans:
-                slot[lo:hi] = g.grad
-            self.losses[j] = values
+            starts.append(rng.bit_generator.state)
+            self._compute(it, j, j == block.start or (j in block and self._claim((j,)) == j))
+        end = rng.bit_generator.state
+        while (j := self._claim(range(self.batch))) is not None:
+            rng.bit_generator.state = starts[j]
+            self._compute(it, j, True)
+        rng.bit_generator.state = end
+
+    def _compute(self, it: int, j: int, own: bool) -> None:
+        out = self.scene(it, j, own)
+        if out is None:
+            return
+        root, values = out
+        for g in self.groups:
+            g.zero_grad()
+        T.backward(root)
+        slot = self.grads[j]
+        for g, lo, hi in self.spans:
+            slot[lo:hi] = g.grad
+        self.losses[j] = values
 
     def step(self, it: int) -> np.ndarray:
         """Iteration `it` on every process: leaves the scene-order sum of the
@@ -220,6 +248,7 @@ class SceneSteps:
         loss values, [B x width]."""
         if self.grads is None:
             self._start()
+        self.claims[...] = self.firsts
         for _, go, _ in self.workers:
             os.write(go, it.to_bytes(8, "little"))
         self._run(it, self.own)
@@ -335,6 +364,8 @@ def build_system(cfg: ExperimentConfig) -> System:
     f_q = Mlp3(espec.width, cfg.feat_dim, cfg.feat_dim, groups["decoder"],
                np.random.default_rng((cfg.seed, 14)), "f_q")
     aux = AuxHeads(cfg.feat_dim, groups["aux"], np.random.default_rng((cfg.seed, 15)))
+    for g in groups.values():
+        g.trim()
     return System(groups, teacher, student, decoder, aux, f_q, espec)
 
 
@@ -470,11 +501,9 @@ def distill_student(cfg: ExperimentConfig, teacher_state: dict, out_dir: str,
 
     def scene(it: int, j: int, own: bool):
         i = it * b + j
-        if not own:
-            # the draws scene_losses makes from cond_rng, without the scene's image
-            conds = build_conditions(scene_instances(spec, (cfg.seed, 1, i)), stats,
-                                     cfg.fake_ratio, cond_rng)
-            encode_set(conds, sys.espec, cond_rng, include_scale=cfg.use_scale)
+        if not own:  # the draws scene_losses makes from cond_rng, and only those
+            skip_conditions(instance_count(spec, np.random.default_rng((cfg.seed, 1, i))),
+                            stats, cfg.fake_ratio, sys.espec, cond_rng)
             return None
         active = cfg.lam != 0.0 and it >= cfg.warmup_iters
         parts = scene_losses(cfg, sys, train_scene(cfg, i), stats, cond_rng, active)
@@ -483,7 +512,7 @@ def distill_student(cfg: ExperimentConfig, teacher_state: dict, out_dir: str,
         return root, tuple(p.item() for p in parts)
 
     trained = [sys.groups[name] for name in TRAINED_GROUPS]
-    with SceneSteps(trained, b, 4, scene) as steps:
+    with SceneSteps(trained, b, 4, scene, cond_rng) as steps:
         for it in range(cfg.student_iters):
             det, idf, loc, dis = (_scene_mean(col) for col in steps.step(it).T)
             final = {"loss_det": det, "loss_aux_idf": idf, "loss_aux_reg": loc,

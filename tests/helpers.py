@@ -5,7 +5,7 @@ for code that production computes with array operations."""
 
 import numpy as np
 
-from condkd.instances import make_instance
+from condkd.instances import encode_set, make_instance
 from condkd.pyramid import STRIDES
 from condkd.train import build_system
 from condkd.verify import mini_config
@@ -22,6 +22,11 @@ def pixel_instance(category, px1, py1, px2, py2, image=16, is_real=True):
     w, h = (px2 - px1) / image, (py2 - py1) / image
     cx, cy = (px1 + px2) / 2 / image, (py1 + py2) / 2 / image
     return make_instance(category, cx, cy, w, h, image, image, is_real)
+
+
+def condition_center(inst, spec, rng):
+    """The jittered center `encode_set` encodes for `inst` alone."""
+    return tuple(encode_set([inst], spec, rng).centers[0])
 
 
 def regression_targets(inst, center):

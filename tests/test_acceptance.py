@@ -1,28 +1,32 @@
 """Acceptance gate: ten criteria, one printed PASS/FAIL line each.
 
 Criteria 6-10 rest on real desk-scale training: a teacher plus 43 student
-runs. Those runs happen once, into a cache directory
-(tests/acceptance_cache/<fingerprint>/, overridable via CONDKD_CACHE),
-together with their measured wall times. The cache that the committed code
-produces is committed with it, so a clean checkout replays it. The
-fingerprint hashes the experiment config, the seeds and the bytes of
-src/condkd/*.py. Runs replay the recorded results only from a manifest that
-`valid_manifest` accepts: its fingerprint matches, and teacher.ckpt, every
-run's checkpoint and metrics.csv exist and match the sha256 the manifest
-records. Anything else (any edit under src/condkd, a deleted or altered
-file) makes the fixture clear the directory and rebuild; commit the rebuilt
-directory with the code change that caused it.
-`test_committed_cache_matches_code` fails at once when the committed cache
-does not match the current code. A rebuild took 11-34 min on a 2-vCPU box
-while each training step ran in one process. With each step's scenes split
-across both vCPUs it took 20.8-22.9 min on a slow stretch of that box, where
-the one-process code took 31.2 min, and a later from-empty rebuild took
-26.6 min of training (27.1 min for the whole file). The rebuild from empty for
-flat parameter storage took 20.3 min for the whole file (teacher 46 s, c06
+runs. Those runs happen once, into a cache directory, together with their
+measured wall times. The cache that the committed code produces is
+committed with it (tests/acceptance_cache/<fingerprint>/), so a clean
+checkout replays it. The fingerprint hashes the experiment config, the seeds
+and the bytes of src/condkd/*.py. Runs replay the recorded results only from
+a manifest that `valid_manifest` accepts: its fingerprint matches, and
+teacher.ckpt, every run's checkpoint and metrics.csv exist and match the
+sha256 the manifest records. Without CONDKD_CACHE, anything else (any edit
+under src/condkd, a deleted or altered file) makes the `cache` fixture fail
+at once with the fingerprint and the rebuild command, and
+`test_committed_cache_matches_code` fails too; nothing trains. With
+CONDKD_CACHE=<dir>, the fixture replays a valid <dir>/<fingerprint>/ or
+clears and rebuilds it there; commit the rebuilt directory with the code
+change that caused it. A rebuild took 11-34 min on a 2-vCPU box while each
+training step ran in one process. With each step's scenes split across both
+vCPUs it took 20.8-22.9 min on a slow stretch of that box, where the
+one-process code took 31.2 min, and a later from-empty rebuild took 26.6 min
+of training (27.1 min for the whole file). The rebuild from empty for flat
+parameter storage took 20.3 min for the whole file (teacher 46 s, c06
 students 386 s, attention sweep 689 s, head sweep 79 s), and the one for the
-cached pyramid layout 20.9 min (44 s, 381 s, 698 s, 107 s). On the same
-machine it reproduces checkpoints and metrics.csv bit for bit; the three
-from-empty rebuilds, for changes that left the arithmetic untouched,
+cached pyramid layout 20.9 min (44 s, 381 s, 698 s, 107 s). With work
+stealing between the processes and the draw-only skip, two rebuilds from
+empty took 14.0 and 16.0 min for the whole file (42/37 s, 283/266 s,
+442/567 s, 53/71 s). On
+the same machine it reproduces checkpoints and metrics.csv bit for bit; the
+from-empty rebuilds for changes that left the arithmetic untouched
 reproduced all 45 files of the cache they replaced. All other criteria, and
 c09's reduced-iteration rerun, recompute from scratch on every run."""
 
@@ -44,12 +48,12 @@ from condkd import verify
 from condkd.checkpoint import load_checkpoint, save_checkpoint
 from condkd.config import ATTENTION_VARIANTS, ExperimentConfig
 from condkd.heatmap import export_attention, read_pgm
-from condkd.instances import DatasetStats, build_conditions, condition_center, sample_fakes
+from condkd.instances import DatasetStats, build_conditions, sample_fakes
 from condkd.losses import _ZERO_CELLS, distill_loss
 from condkd.pyramid import flatten_pyramid
 from condkd.verify import mini_config
 
-from helpers import pixel_instance, regression_targets
+from helpers import condition_center, pixel_instance, regression_targets
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -173,13 +177,26 @@ def _build_cache(cfg: ExperimentConfig, root: Path) -> dict:
     })
 
 
+def _rebuild_hint(fp: str) -> str:
+    return (f"no valid cache for fingerprint {fp} under {CACHE_DIR}: rebuild it with "
+            "`CONDKD_CACHE=<empty dir> PYTHONPATH=src python -m pytest tests/test_acceptance.py`, "
+            f"then `git rm -r tests/{CACHE_DIR.name}`, `mkdir -p tests/{CACHE_DIR.name}` "
+            f"and copy <empty dir>/{fp}/ into it")
+
+
 @pytest.fixture(scope="session")
 def cache():
+    """The committed cache, replayed; a stale one fails at once. Only with
+    CONDKD_CACHE set does a missing or invalid cache get rebuilt, there."""
     cfg = ExperimentConfig()
     fp = _fingerprint(cfg)
-    base = os.environ.get("CONDKD_CACHE", str(CACHE_DIR))
-    root = Path(base) / fp
-    manifest = valid_manifest(root, fp) or _build_cache(cfg, root)
+    base = os.environ.get("CONDKD_CACHE")
+    root = Path(base or CACHE_DIR) / fp
+    manifest = valid_manifest(root, fp)
+    if manifest is None:
+        if base is None:
+            pytest.fail(_rebuild_hint(fp))
+        manifest = _build_cache(cfg, root)
     return SimpleNamespace(cfg=cfg, root=root, man=manifest)
 
 
@@ -247,13 +264,10 @@ def test_fingerprint_covers_code_bytes(tmp_path):
 
 def test_committed_cache_matches_code():
     """Fails at once when the committed cache is stale for the current code
-    or config, instead of leaving only a silent half-hour rebuild in the
-    `cache` fixture to show it."""
+    or config, with the command that rebuilds it; the `cache` fixture then
+    fails the cache-backed criteria the same way instead of retraining."""
     fp = _fingerprint(ExperimentConfig())
-    assert valid_manifest(CACHE_DIR / fp, fp) is not None, (
-        f"no valid cache for fingerprint {fp} under {CACHE_DIR}: rebuild it with "
-        "`PYTHONPATH=src python -m pytest tests/test_acceptance.py` and commit "
-        f"{CACHE_DIR.name}/{fp}/ in place of the old directory")
+    assert valid_manifest(CACHE_DIR / fp, fp) is not None, _rebuild_hint(fp)
 
 
 def _mean_ap(man: dict, prefix: str) -> float:

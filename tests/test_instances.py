@@ -13,7 +13,6 @@ from condkd.instances import (
     build_conditions,
     compute_stats,
     encode_set,
-    jitter_center,
     make_instance,
     make_query,
     sample_fakes,
@@ -21,6 +20,8 @@ from condkd.instances import (
 )
 from condkd.nn import Mlp3
 from condkd.tensor import ParamGroup
+
+from helpers import condition_center
 
 
 def small_stats(image=64):
@@ -42,6 +43,12 @@ def test_make_instance_clips_and_rederives():
     assert inst.w == pytest.approx(0.15)  # right half kept, left clipped at 0
     assert inst.w_px == pytest.approx(0.15 * 64)
     assert inst.h == pytest.approx(0.2)
+
+
+def jitter_center(box, a, rng):
+    """The center encode_set encodes for an [x, y, w, h] box at jitter a."""
+    x, y, w, h = box
+    return condition_center(Instance(0, x, y, w, h, 64 * w, 64 * h), EncoderSpec(1, jitter=a), rng)
 
 
 def test_jitter_zero_amplitude_is_identity():

@@ -8,7 +8,7 @@ import pytest
 
 from condkd import tensor as T
 from condkd.decoder import Knowledge, compute_values
-from condkd.instances import ConditionSet, EncoderSpec, condition_center, make_instance
+from condkd.instances import ConditionSet, EncoderSpec, make_instance
 from condkd.losses import (
     AuxHeads,
     aux_loss,
@@ -22,7 +22,7 @@ from condkd.pyramid import flatten_pyramid
 from condkd.tensor import ParamGroup, finite_diff_check
 from condkd.train import dataset_stats, scene_losses, train_scene
 
-from helpers import mini_system, pixel_instance, regression_targets
+from helpers import condition_center, mini_system, pixel_instance, regression_targets
 
 
 class TestRegressionTargets:

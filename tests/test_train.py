@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -16,9 +17,10 @@ from condkd import train as tr
 from condkd.checkpoint import CheckpointError, group_state, load_checkpoint
 from condkd.config import ExperimentConfig
 from condkd.decoder import Knowledge
+from condkd.instances import build_conditions, encode_set, skip_conditions
 from condkd.losses import total_loss
 from condkd.pyramid import ToyDetector, assign_cells, flatten_pyramid, inherit_parameters
-from condkd.scenes import scene_instances
+from condkd.scenes import instance_count, scene_instances
 from condkd.tensor import ParamGroup
 from condkd.verify import mini_config
 
@@ -338,6 +340,98 @@ class TestSceneParallel:
         weight.data[0, 0] = 5.0
         assert groups[0].data[0] == 5.0
 
+    @pytest.fixture
+    def slowed(self, monkeypatch, tmp_path):
+        """slow(side) makes each det_loss call of the caller or of the worker
+        sleep 50 ms, and logs the side of every call; computed() returns and
+        clears the log's counts per side. A loop calls det_loss once per
+        scene it computes."""
+        log, parent, det_loss = tmp_path / "computed", os.getpid(), tr.det_loss
+
+        def slow(side):
+            def det(*a, **k):
+                me = "caller" if os.getpid() == parent else "worker"
+                with open(log, "a") as f:
+                    f.write(me[0])
+                if me == side:
+                    time.sleep(0.05)
+                return det_loss(*a, **k)
+            monkeypatch.setattr(tr, "det_loss", det)
+
+        def computed():
+            text = log.read_text()
+            log.unlink()
+            return {"caller": text.count("c"), "worker": text.count("w")}
+        return slow, computed
+
+    @pytest.mark.parametrize("slow", ["caller", "worker"])
+    def test_stolen_scenes_give_the_same_bytes(self, slow, procs, slowed, tmp_path):
+        cfg = mini_config(batch_size=8, teacher_iters=3, student_iters=3, warmup_iters=1)
+        one, two = str(tmp_path / "p1"), str(tmp_path / "p2")
+        procs(1)
+        teacher = load_checkpoint(tr.train_teacher(cfg, one).checkpoint)
+        tr.distill_student(cfg, teacher, one)
+        forked = procs(2)
+        make_slow, computed = slowed
+        make_slow(slow)
+        tr.train_teacher(cfg, two)
+        split = [computed()]
+        tr.distill_student(cfg, teacher, two)
+        split.append(computed())
+        fast = "worker" if slow == "caller" else "caller"
+        for loop in split:
+            assert sum(loop.values()) == 3 * 8  # each scene once
+            assert loop[slow] >= 3  # a block's first scene is never stolen
+            assert loop[fast] > 3 * 4, loop  # the fast side stole from the slow one's block
+        assert len(forked) == 2
+        assert_no_child_process()
+        for name in ("teacher.ckpt", "distill.ckpt", "metrics.csv"):
+            assert read_bytes(os.path.join(one, name)) == read_bytes(os.path.join(two, name)), name
+
+    def test_worker_that_dies_after_a_steal_is_reported(self, procs, tmp_path, monkeypatch):
+        procs(2)
+        parent, det_loss, calls = os.getpid(), tr.det_loss, []
+
+        def dying(*a, **k):
+            if os.getpid() == parent:
+                time.sleep(0.05)
+            else:
+                calls.append(None)
+                if len(calls) > 4:  # past the worker's block of four: a stolen scene
+                    os._exit(3)
+            return det_loss(*a, **k)
+
+        monkeypatch.setattr(tr, "det_loss", dying)
+        with pytest.raises(tr.SceneWorkerError, match="exited during iteration 0"):
+            tr.train_teacher(mini_config(batch_size=8, teacher_iters=2), str(tmp_path))
+        assert_no_child_process()
+
+    def test_groups_hold_no_spare_room(self, procs, mini_teacher):
+        def assert_trimmed(groups):
+            for g in groups:
+                data_room, grad_room = g._room
+                assert data_room.size == g.data.size, g
+                assert (grad_room is None) == (g.grad is None), g
+                assert grad_room is None or grad_room.size == g.data.size, g
+
+        cfg = mini_config()
+        assert_trimmed(tr.build_system(ExperimentConfig()).groups.values())
+        assert_trimmed(tr.load_system(cfg, mini_teacher).groups.values())
+        procs(2)
+        group = ParamGroup("student")
+        weight = group.add("w", np.ones(3))
+        assert group._room[0].size > group.data.size
+
+        def scene(it, j, own):
+            loss = T.tsum(T.mul(weight, weight))
+            return (loss, (loss.item(),)) if own else None
+
+        with tr.SceneSteps([group], cfg.batch_size, 1, scene) as steps:
+            steps.step(0)
+        assert_no_child_process()
+        assert_trimmed([group])
+        np.testing.assert_array_equal(weight.grad, 4.0 * weight.data)
+
     @pytest.mark.parametrize("prelude, pin, forks", [
         ("import numpy", False, False), ("", False, True), ("import numpy", True, True)],
         ids=["numpy-first", "condkd-first", "numpy-first-pinned"])
@@ -352,6 +446,24 @@ class TestSceneParallel:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
         assert int(out) == (min(len(os.sched_getaffinity(0)), 8) if forks else 1)
+
+
+class TestDrawOnlySkip:
+    @pytest.mark.parametrize("overrides", [{}, {"jitter": 0.0}, {"fake_ratio": 0},
+                                           {"use_scale": False}],
+                             ids=["default", "jitter0", "fake_ratio0", "no_scale"])
+    @pytest.mark.parametrize("make", [mini_config, ExperimentConfig], ids=["mini", "desk"])
+    def test_skip_leaves_the_stream_where_the_real_draws_do(self, make, overrides):
+        cfg = make(stats_scenes=16, **overrides)
+        spec, espec, stats = cfg.scene_spec(), cfg.encoder_spec(), tr.dataset_stats(cfg)
+        real, skip = (np.random.default_rng((cfg.seed, 20)) for _ in range(2))
+        for i in range(1000):
+            conds = build_conditions(scene_instances(spec, (cfg.seed, 1, i)), stats,
+                                     cfg.fake_ratio, real)
+            encode_set(conds, espec, real, include_scale=cfg.use_scale)
+            n_real = instance_count(spec, np.random.default_rng((cfg.seed, 1, i)))
+            skip_conditions(n_real, stats, cfg.fake_ratio, espec, skip)
+            assert skip.bit_generator.state == real.bit_generator.state, i
 
 
 class TestLambdaZero:
