@@ -7,10 +7,12 @@ harness only ever compares them between runs on identical scene sets.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from .instances import Instance
 from .pyramid import ToyDetector, layout
 from .scenes import Scene
 
@@ -49,11 +51,10 @@ def greedy_nms(dets: list[Detection]) -> list[Detection]:
 def decode_predictions(det: ToyDetector, image) -> list[Detection]:
     """Dense head outputs to boxes: sigmoid class scores above SCORE_THRESH
     become candidates at their cell center, then per-class NMS."""
-    preds = det.det_head_forward(det.backbone_forward(image))
+    logits, ltrb = det.det_head_forward(det.backbone_forward(image))
     centers = layout(det.cfg.image_size).centers
-    logits = np.concatenate([lg.data for _, lg, _ in preds.levels])
-    sides = np.concatenate([lt.data for _, _, lt in preds.levels])
-    probs = 1.0 / (1.0 + np.exp(-logits))
+    sides = ltrb.data
+    probs = 1.0 / (1.0 + np.exp(-logits.data))
     out: list[Detection] = []
     for r, c in zip(*np.nonzero(probs > SCORE_THRESH)):
         cx, cy = centers[r]
@@ -83,7 +84,7 @@ def eleven_point_ap(matched: np.ndarray, num_gt: int) -> float:
     return total / 11.0
 
 
-def ap_from_detections(per_scene: list[list[Detection]], scenes: list[Scene],
+def ap_from_detections(per_scene: list[list[Detection]], truth: list[list[Instance]],
                        num_classes: int, match_iou: float = 0.5) -> float:
     """Mean per-class 11-point AP over classes with at least one GT box.
 
@@ -91,8 +92,8 @@ def ap_from_detections(per_scene: list[list[Detection]], scenes: list[Scene],
     once, at IoU >= match_iou within their own scene."""
     aps = []
     for c in range(num_classes):
-        gt = [(i, inst) for i, s in enumerate(scenes)
-              for inst in s.instances if inst.category == c]
+        gt = [(i, inst) for i, insts in enumerate(truth)
+              for inst in insts if inst.category == c]
         if not gt:
             continue
         dets = [(d.score, i, d.box) for i, ds in enumerate(per_scene)
@@ -115,9 +116,13 @@ def ap_from_detections(per_scene: list[list[Detection]], scenes: list[Scene],
     return float(np.mean(aps)) if aps else 0.0
 
 
-def evaluate_toy_ap(det: ToyDetector, scenes: list[Scene]) -> float:
-    """toy-AP@0.5 of `det` on `scenes`."""
+def evaluate_toy_ap(det: ToyDetector, scenes: Sequence[Scene]) -> float:
+    """toy-AP@0.5 of `det` on `scenes`, read once, in order; only each
+    scene's detections and instances are kept."""
     if not scenes:
         raise ValueError("need at least one scene to evaluate")
-    per_scene = [decode_predictions(det, s.image) for s in scenes]
-    return ap_from_detections(per_scene, scenes, det.cfg.num_classes)
+    per_scene, truth = [], []
+    for s in scenes:
+        per_scene.append(decode_predictions(det, s.image))
+        truth.append(s.instances)
+    return ap_from_detections(per_scene, truth, det.cfg.num_classes)

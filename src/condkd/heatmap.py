@@ -31,26 +31,6 @@ def write_ppm(path: str, rgb: np.ndarray) -> None:
         f.write(rgb.tobytes())
 
 
-def _read_header(f):
-    fields = []
-    while len(fields) < 4:
-        line = f.readline()
-        if not line:
-            raise ValueError("unexpected end of header")
-        text = line.split(b"#", 1)[0]
-        fields.extend(text.split())
-    return fields[:4]
-
-
-def read_pgm(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic, w, h, maxval = _read_header(f)
-        if magic != b"P5" or int(maxval) != 255:
-            raise ValueError(f"{path}: not an 8-bit P5 file")
-        data = f.read(int(w) * int(h))
-    return np.frombuffer(data, dtype=np.uint8).reshape(int(h), int(w))
-
-
 def colorize(gray: np.ndarray) -> np.ndarray:
     """Cold-to-hot ramp: low mass blue, high mass red."""
     v = gray.astype(np.float64) / 255.0

@@ -87,27 +87,18 @@ def compute_stats(scenes: list[list[Instance]], num_classes: int, image_w: int, 
     """Exact class frequencies plus unbiased per-class size moments (1 px floor)."""
     if not scenes or all(len(s) == 0 for s in scenes):
         raise ValueError("compute_stats needs at least one instance")
-    freq = np.zeros(num_classes)
-    widths: list[list[float]] = [[] for _ in range(num_classes)]
-    heights: list[list[float]] = [[] for _ in range(num_classes)]
-    for scene in scenes:
-        for inst in scene:
-            if not inst.is_real:
-                continue
-            freq[inst.category] += 1
-            widths[inst.category].append(inst.w_px)
-            heights[inst.category].append(inst.h_px)
-    mean_w = np.zeros(num_classes)
-    std_w = np.ones(num_classes)
-    mean_h = np.zeros(num_classes)
-    std_h = np.ones(num_classes)
+    cats, widths, heights = np.array([(inst.category, inst.w_px, inst.h_px) for scene in scenes
+                                      for inst in scene if inst.is_real]).reshape(-1, 3).T
+    freq, mean_w, mean_h = np.zeros((3, num_classes))
+    std_w, std_h = np.ones((2, num_classes))
     for c in range(num_classes):
-        if widths[c]:
-            mean_w[c] = float(np.mean(widths[c]))
-            mean_h[c] = float(np.mean(heights[c]))
-            if len(widths[c]) > 1:
-                std_w[c] = max(1.0, float(np.std(widths[c], ddof=1)))
-                std_h[c] = max(1.0, float(np.std(heights[c], ddof=1)))
+        w, h = widths[cats == c], heights[cats == c]
+        freq[c] = w.size
+        if w.size:
+            mean_w[c], mean_h[c] = np.mean(w), np.mean(h)
+        if w.size > 1:
+            std_w[c] = max(1.0, np.std(w, ddof=1))
+            std_h[c] = max(1.0, np.std(h, ddof=1))
     return DatasetStats(freq, mean_w, std_w, mean_h, std_h, image_w, image_h)
 
 

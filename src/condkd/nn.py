@@ -13,7 +13,7 @@ import functools
 import numpy as np
 
 from . import tensor as T
-from .tensor import ParamGroup, ShapeError, Tensor
+from .tensor import ParamGroup, Tensor
 
 
 def kaiming_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
@@ -32,14 +32,8 @@ class Linear:
         self.bias = group.add(f"{name}.b", np.zeros(out_dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.in_dim:
-            raise ShapeError(f"linear expects trailing dim {self.in_dim}, got input shape {x.shape}")
-        lead = x.shape[:-1]
-        flat = T.reshape(x, (-1, self.in_dim)) if x.data.ndim != 2 else x
-        out = T.linear(flat, self.weight, self.bias)
-        if x.data.ndim != 2:
-            out = T.reshape(out, lead + (self.out_dim,))
-        return out
+        """[N x in] -> [N x out] as one `linear` graph node."""
+        return T.linear(x, self.weight, self.bias)
 
 
 class Mlp3:

@@ -6,7 +6,9 @@ dense per-cell head predicting class logits and ltrb box distances. It stands
 in for a real dense detector so the distillation machinery has genuine
 multi-scale features to work with.
 
-Images and feature maps are channel-last: [H, W, 3] and [H, W, C].
+Images and backbone maps are channel-last: [H, W, 3] and [H, W, C]. From the
+laterals on, a level is one row per cell, [H*W x D] in row-major order, and
+the levels stack level-major in the row order of `layout`.
 """
 
 from __future__ import annotations
@@ -23,10 +25,13 @@ from .nn import Linear, kaiming_uniform, sine_pos_embed
 from .tensor import ParamGroup, ShapeError, Tensor
 
 STRIDES = (8, 16)  # the pyramid levels the backbone is wired for
+# cap on the box-regression exponent: a diverging step stays finite, while a
+# distance of exp(10) cell sides is far beyond any box the image can hold
+EXP_CAP = 10.0
 
 
 class Conv2d:
-    """3x3 (or 1x1) convolution on channel-last [B, H, W, C] tensors.
+    """3x3 (or 1x1) convolution of one channel-last [H, W, C] map.
 
     One `conv2d` node: im2col followed by the arithmetic of `linear`,
     differentiated as that composition.
@@ -45,7 +50,7 @@ class Conv2d:
         self.bias = group.add(f"{name}.b", np.zeros(out_ch))
 
     def __call__(self, x: Tensor) -> Tensor:
-        b, h, w, c = x.shape
+        h, w, c = x.shape
         if c != self.in_ch:
             raise ShapeError(f"conv expects {self.in_ch} channels, got input shape {x.shape}")
         if h % self.stride or w % self.stride:
@@ -92,19 +97,6 @@ def layout(image_size: int) -> PyramidLayout:
 
 
 @dataclass
-class FeaturePyramid:
-    """Ordered (stride, feature [H_p, W_p, D]) levels for one image."""
-
-    levels: list[tuple[int, Tensor]]
-    image_size: int
-
-    def __post_init__(self):
-        strides = [s for s, _ in self.levels]
-        if strides != sorted(strides) or len(set(strides)) != len(strides):
-            raise ValueError(f"strides must be strictly increasing, got {strides}")
-
-
-@dataclass
 class FlatPyramid:
     """All pyramid cells stacked into one matrix, in `layout`'s row order.
 
@@ -147,45 +139,32 @@ class ToyDetector:
         # and box-scale calibration is learned (and inheritable from a teacher)
         self.head_out = Conv2d(d, cfg.num_classes + 4, group, rng, "head.out")
 
-    def backbone_forward(self, image: Tensor) -> FeaturePyramid:
+    def backbone_forward(self, image: Tensor) -> list[Tensor]:
+        """The lateral rows [H*W x D] of each level of STRIDES."""
         s = self.cfg.image_size
         if image.shape != (s, s, 3):
             raise ShapeError(f"expected image [{s}, {s}, 3], got {image.shape}")
-        x = T.reshape(image, (1, s, s, 3))
-        c1 = T.relu(self.conv1(x))
+        c1 = T.relu(self.conv1(image))
         c2 = T.relu(self.conv2(c1))
         c3 = T.relu(self.conv3(c2))  # stride 8
         c4 = T.relu(self.conv4(c3))  # stride 16
-        (h8, w8), (h16, w16) = layout(s).shapes
-        p8 = T.reshape(self.lat8(c3), (h8, w8, self.cfg.feat_dim))
-        p16 = T.reshape(self.lat16(c4), (h16, w16, self.cfg.feat_dim))
-        return FeaturePyramid([(8, p8), (16, p16)], self.cfg.image_size)
+        return [lat(T.reshape(c, (-1, c.shape[-1])))
+                for lat, c in ((self.lat8, c3), (self.lat16, c4))]
 
-    def det_head_forward(self, pyr: FeaturePyramid) -> "DensePredictions":
-        levels = []
-        for stride, feat in pyr.levels:
-            h, w, d = feat.shape
-            z = T.relu(self.head_conv(T.reshape(feat, (1, h, w, d))))
-            out = T.reshape(self.head_out(z), (h * w, self.cfg.num_classes + 4))
-            logits = T.slice_last(out, 0, self.cfg.num_classes)
-            # exp keeps distances positive; stride/image scales to normalized units
-            ltrb = T.mul(T.exp(T.slice_last(out, self.cfg.num_classes, self.cfg.num_classes + 4)),
-                         T.constant(stride / self.cfg.image_size))
-            levels.append((stride, logits, ltrb))
-        return DensePredictions(levels, self.cfg.image_size)
-
-
-@dataclass
-class DensePredictions:
-    """Per-level (stride, class logits [HW x C], ltrb [HW x 4] normalized)."""
-
-    levels: list[tuple[int, Tensor, Tensor]]
-    image_size: int
-
-    def flat(self) -> tuple[Tensor, Tensor]:
-        logits = T.concat([lg for _, lg, _ in self.levels], axis=0)
-        ltrb = T.concat([lt for _, _, lt in self.levels], axis=0)
-        return logits, ltrb
+    def det_head_forward(self, levels: list[Tensor]) -> tuple[Tensor, Tensor]:
+        """Class logits [L x C] and normalized ltrb [L x 4] of every cell, in
+        the row order of `layout`, from the level rows of backbone_forward."""
+        lay, d, c = layout(self.cfg.image_size), self.cfg.feat_dim, self.cfg.num_classes
+        outs = []
+        for rows, (h, w) in zip(levels, lay.shapes):
+            z = T.relu(self.head_conv(T.reshape(rows, (h, w, d))))
+            outs.append(T.reshape(self.head_out(z), (h * w, c + 4)))
+        out = T.concat(outs, axis=0)
+        # exp keeps distances positive; the cell side, stride / image size,
+        # scales them to normalized units
+        ltrb = T.mul(T.exp(T.clamp(T.slice_last(out, c, c + 4), -np.inf, EXP_CAP)),
+                     T.constant(lay.sides[:, None]))
+        return T.slice_last(out, 0, c), ltrb
 
 
 @functools.lru_cache(maxsize=16)
@@ -202,19 +181,15 @@ def _positions(image_size: int, pos_dim: int) -> np.ndarray:
     return pos
 
 
-def flatten_pyramid(pyr: FeaturePyramid, pos_dim: int = 8) -> FlatPyramid:
-    """Stack levels into [L x D] rows, level-major then row-major per level.
+def flatten_pyramid(levels: list[Tensor], image_size: int, pos_dim: int) -> FlatPyramid:
+    """Stack the level rows of backbone_forward into [L x D], level-major.
 
     Positional rows: sine encodings of the normalized cell center per axis
     (pos_dim/2 wide each) plus a two-wide sine tag of the level index, so
     cells at matching normalized coordinates on different levels stay distinct.
     """
-    mats = []
-    for _, feat in pyr.levels:
-        h, w, d = feat.shape
-        mats.append(T.reshape(feat, (h * w, d)))
-    return FlatPyramid(T.concat(mats, axis=0), _positions(pyr.image_size, pos_dim),
-                       layout(pyr.image_size))
+    return FlatPyramid(T.concat(levels, axis=0), _positions(image_size, pos_dim),
+                       layout(image_size))
 
 
 def assign_cells(centers: np.ndarray, instances: list[Instance]) -> tuple[np.ndarray, np.ndarray]:
@@ -244,13 +219,15 @@ def assign_cells(centers: np.ndarray, instances: list[Instance]) -> tuple[np.nda
     return assign, ltrb
 
 
-def det_loss(preds: DensePredictions, instances: list[Instance], cfg: DetectorConfig) -> Tensor:
-    """Dense detection loss: all-cell BCE on class logits plus L1 on ltrb at
-    positive cells, normalized by the positive count (floored at 1)."""
+def det_loss(preds: tuple[Tensor, Tensor], instances: list[Instance],
+             cfg: DetectorConfig) -> Tensor:
+    """Dense detection loss on det_head_forward's (logits, ltrb): all-cell BCE
+    on class logits plus L1 on ltrb at positive cells, normalized by the
+    positive count (floored at 1)."""
     if any(not inst.is_real for inst in instances):
         raise ValueError("det_loss consumes real instances only")
-    logits, ltrb_pred = preds.flat()
-    centers = layout(preds.image_size).centers
+    logits, ltrb_pred = preds
+    centers = layout(cfg.image_size).centers
     assign, ltrb_tgt = assign_cells(centers, instances)
     targets = np.zeros((centers.shape[0], cfg.num_classes))
     pos = np.flatnonzero(assign >= 0)

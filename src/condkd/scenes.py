@@ -9,6 +9,7 @@ to the last bit from their seed.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +122,22 @@ def generate_scene(spec: SceneSpec, seed: tuple[int, ...]) -> Scene:
     if spec.noise_sigma > 0:
         canvas = canvas + rng.normal(0.0, spec.noise_sigma, canvas.shape)
     return Scene(T.constant(canvas), instances, seed)
+
+
+@dataclass(frozen=True)
+class SceneStream(Sequence):
+    """The scenes generate_scene(spec, prefix + (i,)) for i < n, each
+    generated when it is read, so a pass over them holds one at a time."""
+
+    spec: SceneSpec
+    prefix: tuple[int, ...]
+    n: int
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i: int) -> Scene:
+        return generate_scene(self.spec, self.prefix + (range(self.n)[i],))
 
 
 def generate_dataset(spec: SceneSpec, seed: int, count: int) -> list[Scene]:

@@ -526,65 +526,63 @@ def pad_hw(a, pad: int) -> Tensor:
 
 
 @functools.lru_cache(maxsize=64)
-def _patch_index(b: int, h: int, w: int, c: int, kernel: int, stride: int) -> np.ndarray:
-    """Flat index into the padded [B, H+2p, W+2p, C] array of every element of
+def _patch_index(h: int, w: int, c: int, kernel: int, stride: int) -> np.ndarray:
+    """Flat index into the padded [H+2p, W+2p, C] array of every element of
     _im2col's output, row-major; cached per geometry, so read-only."""
     pad = (kernel - 1) // 2
-    hp, wp = h + 2 * pad, w + 2 * pad
-    bi = np.arange(b)[:, None, None, None, None, None]
-    oy = np.arange(h // stride)[None, :, None, None, None, None] * stride
-    ox = np.arange(w // stride)[None, None, :, None, None, None] * stride
-    ky = np.arange(kernel)[None, None, None, :, None, None]
-    kx = np.arange(kernel)[None, None, None, None, :, None]
-    ci = np.arange(c)[None, None, None, None, None, :]
-    idx = (((bi * hp + oy + ky) * wp + ox + kx) * c + ci).ravel()
+    wp = w + 2 * pad
+    oy = np.arange(h // stride)[:, None, None, None, None] * stride
+    ox = np.arange(w // stride)[None, :, None, None, None] * stride
+    ky = np.arange(kernel)[None, None, :, None, None]
+    kx = np.arange(kernel)[None, None, None, :, None]
+    idx = (((oy + ky) * wp + ox + kx) * c + np.arange(c)).ravel()
     idx.flags.writeable = False
     return idx
 
 
 def _im2col(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """im2col for an odd ``kernel``: zero-pad the H and W axes of a
-    [B, H, W, C] array by kernel // 2 and lay every kernel x kernel window at
-    ``stride`` out as one row, giving [B*Ho*Wo x kernel*kernel*C] with
+    """im2col for an odd ``kernel``: zero-pad the H and W axes of an
+    [H, W, C] array by kernel // 2 and lay every kernel x kernel window at
+    ``stride`` out as one row, giving [Ho*Wo x kernel*kernel*C] with
     Ho = H // stride. Values equal pad_hw followed by gather_flat; the copy
     goes through a strided view instead of an index gather."""
-    b, h, w, c = x.shape
+    h, w, c = x.shape
     pad = (kernel - 1) // 2
     ho, wo = h // stride, w // stride
-    padded = np.zeros((b, h + 2 * pad, w + 2 * pad, c))
-    padded[:, pad:pad + h, pad:pad + w] = x
-    sb, sh, sw, sc = padded.strides
+    padded = np.zeros((h + 2 * pad, w + 2 * pad, c))
+    padded[pad:pad + h, pad:pad + w] = x
+    sh, sw, sc = padded.strides
     # the last window ends at row (ho - 1) * stride + kernel - 1 <= h + 2 * pad - 1
-    windows = np.ndarray((b, ho, wo, kernel, kernel, c), padded.dtype, padded, 0,
-                         (sb, sh * stride, sw * stride, sh, sw, sc))
-    return windows.reshape(b * ho * wo, kernel * kernel * c)
+    windows = np.ndarray((ho, wo, kernel, kernel, c), padded.dtype, padded, 0,
+                         (sh * stride, sw * stride, sh, sw, sc))
+    return windows.reshape(ho * wo, kernel * kernel * c)
 
 
 def _col2im(g: np.ndarray, shape: tuple[int, ...], kernel: int, stride: int) -> np.ndarray:
     """Adjoint of _im2col: sum every row element back onto the input element
     it was copied from, in row-major order of the rows, via one bincount over
     a cached index."""
-    b, h, w, c = shape
+    h, w, c = shape
     pad = (kernel - 1) // 2
     hp, wp = h + 2 * pad, w + 2 * pad
-    idx = _patch_index(b, h, w, c, kernel, stride)
-    buf = np.bincount(idx, weights=g.ravel(), minlength=b * hp * wp * c).reshape(b, hp, wp, c)
-    return buf[:, pad:pad + h, pad:pad + w]
+    idx = _patch_index(h, w, c, kernel, stride)
+    buf = np.bincount(idx, weights=g.ravel(), minlength=hp * wp * c).reshape(hp, wp, c)
+    return buf[pad:pad + h, pad:pad + w]
 
 
 def conv2d(x, w, b, kernel: int, stride: int) -> Tensor:
-    """Convolution of a [B, H, W, C] tensor with w [out x kernel*kernel*C]
-    and b [out], giving [B, H // stride, W // stride, out], as one graph node.
+    """Convolution of one [H, W, C] map with w [out x kernel*kernel*C] and
+    b [out], giving [H // stride, W // stride, out], as one graph node.
 
     The arithmetic is that of reshape(linear(gather_flat(pad_hw(x, ...), ...),
     w, b), ...) with the im2col index of _patch_index, operation for
     operation, so results and gradients match that composed form bit for bit.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.data.ndim != 4 or kernel % 2 != 1:
-        raise ShapeError(f"conv2d needs [B, H, W, C] and an odd kernel, "
+    if x.data.ndim != 3 or kernel % 2 != 1:
+        raise ShapeError(f"conv2d needs [H, W, C] and an odd kernel, "
                          f"got shape {x.shape} and kernel {kernel}")
-    bs, h, wd, c = x.data.shape
+    h, wd, c = x.data.shape
     if w.data.ndim != 2 or w.shape[1] != kernel * kernel * c:
         raise ShapeError(f"conv2d: weight {w.shape} does not fit kernel {kernel} on {c} channels")
     cols = _im2col(x.data, kernel, stride)
@@ -599,7 +597,7 @@ def conv2d(x, w, b, kernel: int, stride: int) -> Tensor:
             _unbroadcast(g, b.shape) if b.requires_grad else None,
         )
 
-    return _from_op(out.reshape(bs, h // stride, wd // stride, w.shape[0]), (x, w, b), vjp)
+    return _from_op(out.reshape(h // stride, wd // stride, w.shape[0]), (x, w, b), vjp)
 
 
 def softmax(x, axis: int = -1) -> Tensor:

@@ -28,7 +28,7 @@ from .losses import AuxHeads, aux_loss, distill_loss, total_loss
 from .nn import Mlp3, MomentumSGD
 from .pyramid import (STRIDES, FlatPyramid, ToyDetector, det_loss, flatten_pyramid,
                       inherit_parameters)
-from .scenes import Scene, generate_scene, instance_count, scene_instances
+from .scenes import Scene, SceneStream, generate_scene, instance_count, scene_instances
 from .tensor import ParamGroup, Tensor
 
 METRICS_HEADER = "run,iter,loss_det,loss_aux_idf,loss_aux_reg,loss_distill,toy_ap"
@@ -81,9 +81,8 @@ def train_scene(cfg: ExperimentConfig, i: int) -> Scene:
     return generate_scene(cfg.scene_spec(), (cfg.seed, 1, i))
 
 
-def heldout_scenes(cfg: ExperimentConfig) -> list[Scene]:
-    spec = cfg.scene_spec()
-    return [generate_scene(spec, (cfg.seed, 2, i)) for i in range(cfg.eval_scenes)]
+def heldout_scenes(cfg: ExperimentConfig) -> SceneStream:
+    return SceneStream(cfg.scene_spec(), (cfg.seed, 2), cfg.eval_scenes)
 
 
 def _scene_mean(values) -> float:
@@ -438,7 +437,7 @@ def decode_conditions(cfg: ExperimentConfig, sys: System, image: Tensor, conds,
     returns the encoded conditions, that flat pyramid and the decoder output."""
     cset = encode_set(conds, sys.espec, rng, include_scale=cfg.use_scale)
     queries = make_query(cset.vectors, sys.f_q)
-    t_flat = flatten_pyramid(sys.teacher.backbone_forward(image), cfg.pos_dim)
+    t_flat = flatten_pyramid(sys.teacher.backbone_forward(image), cfg.image_size, cfg.pos_dim)
     g, knowledge = sys.decoder.decode(t_flat, queries)
     return cset, t_flat, g, knowledge
 
@@ -455,10 +454,10 @@ def scene_losses(cfg: ExperimentConfig, sys: System, scene: Scene, stats,
     conds = build_conditions(scene.instances, stats, cfg.fake_ratio, cond_rng)
     cset, t_flat, g, knowledge = decode_conditions(cfg, sys, scene.image, conds, cond_rng)
     idf, loc = aux_loss(g, cset, sys.aux, use_idf=cfg.use_idf, use_loc=cfg.use_loc)
-    s_pyr = sys.student.backbone_forward(scene.image)
-    det = det_loss(sys.student.det_head_forward(s_pyr), scene.instances, sys.student.cfg)
+    s_levels = sys.student.backbone_forward(scene.image)
+    det = det_loss(sys.student.det_head_forward(s_levels), scene.instances, sys.student.cfg)
     if distill_active:
-        s_flat = flatten_pyramid(s_pyr, cfg.pos_dim)
+        s_flat = flatten_pyramid(s_levels, cfg.image_size, cfg.pos_dim)
         s_values = sys.decoder.student_values(s_flat, detach_weights=distill_detach)
         k_used = substitute_masks(knowledge, cfg.attention_variant, t_flat,
                                   scene.instances, len(conds))

@@ -123,8 +123,8 @@ def gradcheck_ops(seed: int = 0, tol: float = 1e-4) -> GradCheckReport:
         ("mlp", _param(rng, (79,)),
          lambda p, c=w(3, 2): T.mul(T.mlp(*_mlp_pieces(p, (4, 5, 5, 2), 3)), c)),
         ("conv2d", _param(rng, (89,)),
-         lambda p, c=w(1, 2, 2, 3): T.mul(
-             T.conv2d(*_pieces(p, (1, 4, 4, 2), (3, 18), (3,)), kernel=3, stride=2), c)),
+         lambda p, c=w(2, 2, 3): T.mul(
+             T.conv2d(*_pieces(p, (4, 4, 2), (3, 18), (3,)), kernel=3, stride=2), c)),
         ("scaled_scores", _param(rng, (32,)),
          lambda p, c=w(2, 3, 5): T.mul(
              T.scaled_scores(*_pieces(p, (3, 4), (5, 4)), 0.5, heads=2), c)),

@@ -1,7 +1,8 @@
 """Shared test helpers: pixel-aligned instances, the production system on
 the mini config (image 16x16, two classes, width 8, two heads, L = 5
-pyramid cells), small enough for finite differences, and loop references
-for code that production computes with array operations."""
+pyramid cells), small enough for finite differences, loop references for
+code that production computes with array operations, and a reader for the
+PGM files `heatmap` writes."""
 
 import numpy as np
 
@@ -63,3 +64,24 @@ def loop_mask_row(variant, instances, image_size):
             row[r] = best
     n = len(cells)
     return row / row.sum() if row.sum() > 0 else np.full(n, 1.0 / n)
+
+
+def _read_header(f):
+    fields = []
+    while len(fields) < 4:
+        line = f.readline()
+        if not line:
+            raise ValueError("unexpected end of header")
+        text = line.split(b"#", 1)[0]
+        fields.extend(text.split())
+    return fields[:4]
+
+
+def read_pgm(path: str) -> np.ndarray:
+    """The [H, W] uint8 image of an 8-bit binary PGM file."""
+    with open(path, "rb") as f:
+        magic, w, h, maxval = _read_header(f)
+        if magic != b"P5" or int(maxval) != 255:
+            raise ValueError(f"{path}: not an 8-bit P5 file")
+        data = f.read(int(w) * int(h))
+    return np.frombuffer(data, dtype=np.uint8).reshape(int(h), int(w))

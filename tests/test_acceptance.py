@@ -24,8 +24,8 @@ students 386 s, attention sweep 689 s, head sweep 79 s), and the one for the
 cached pyramid layout 20.9 min (44 s, 381 s, 698 s, 107 s). With work
 stealing between the processes and the draw-only skip, two rebuilds from
 empty took 14.0 and 16.0 min for the whole file (42/37 s, 283/266 s,
-442/567 s, 53/71 s). On
-the same machine it reproduces checkpoints and metrics.csv bit for bit; the
+442/567 s, 53/71 s), and with the levels and predictions as cell rows one
+took 11.5 min (29 s, 223 s, 376 s, 45 s). On the same machine it reproduces checkpoints and metrics.csv bit for bit; the
 from-empty rebuilds for changes that left the arithmetic untouched
 reproduced all 45 files of the cache they replaced. All other criteria, and
 c09's reduced-iteration rerun, recompute from scratch on every run."""
@@ -47,13 +47,13 @@ from condkd import train as tr
 from condkd import verify
 from condkd.checkpoint import load_checkpoint, save_checkpoint
 from condkd.config import ATTENTION_VARIANTS, ExperimentConfig
-from condkd.heatmap import export_attention, read_pgm
+from condkd.heatmap import export_attention
 from condkd.instances import DatasetStats, build_conditions, sample_fakes
 from condkd.losses import _ZERO_CELLS, distill_loss
 from condkd.pyramid import flatten_pyramid
 from condkd.verify import mini_config
 
-from helpers import condition_center, pixel_instance, regression_targets
+from helpers import condition_center, pixel_instance, read_pgm, regression_targets
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -346,7 +346,8 @@ def test_c04_loss_identities():
     zero = distill_loss(k, twins, cset.flags).item()
 
     # uniform masks against the hand-reduced mean-over-positions formula
-    s_flat = flatten_pyramid(sys_.student.backbone_forward(scene.image), cfg.pos_dim)
+    s_flat = flatten_pyramid(sys_.student.backbone_forward(scene.image), cfg.image_size,
+                             cfg.pos_dim)
     s_values = sys_.decoder.student_values(s_flat, detach_weights=True)
     uni = tr.substitute_masks(k, "none", flat, scene.instances, len(cset.flags))
     got = distill_loss(uni, s_values, cset.flags).item()

@@ -7,12 +7,14 @@ import sys
 import numpy as np
 import pytest
 
-from condkd import cli
+from condkd import cli, scenes
 from condkd.checkpoint import load_checkpoint
 from condkd.config import load_config
-from condkd.heatmap import quantize_mask, read_pgm
+from condkd.heatmap import quantize_mask
 from condkd.scenes import generate_dataset
 from condkd.train import decode_conditions, heldout_scenes, load_system
+
+from helpers import read_pgm
 
 MINI_CFG = """
 # mini geometry keeps the runs fast
@@ -149,12 +151,16 @@ class TestTrainingCommands:
 
 
 class TestExportAttn:
-    def test_writes_heatmaps(self, cfg_file, trained, capsys):
+    def test_writes_heatmaps(self, cfg_file, trained, capsys, monkeypatch):
         student = os.path.join(trained, "distill.ckpt")
+        built, generate = [], scenes.generate_scene
+        monkeypatch.setattr(scenes, "generate_scene",
+                            lambda spec, seed: built.append(seed) or generate(spec, seed))
         code = cli.cli_main(["export-attn", "--config", cfg_file, "--out-dir", trained,
                              "--student", student,
                              "--scene", "0", "--instance", "0", "--head", "1"])
         assert code == 0
+        assert [seed[1:] for seed in built] == [(2, 0)]  # the asked-for held-out scene only
         paths = capsys.readouterr().out.splitlines()
         assert len(paths) == 4
         for p in paths:

@@ -52,7 +52,7 @@ def manual_layernorm(x):
 def teacher_flat(cfg, sys):
     """The flat teacher pyramid of training scene 0."""
     return flatten_pyramid(sys.teacher.backbone_forward(train_scene(cfg, 0).image),
-                           cfg.pos_dim)
+                           cfg.image_size, cfg.pos_dim)
 
 
 def decode_fakes(cfg, sys, n, rng):

@@ -15,7 +15,7 @@ from condkd.evaluate import (
 )
 from condkd.instances import make_instance
 from condkd.pyramid import DetectorConfig, ToyDetector
-from condkd.scenes import Scene, SceneSpec, generate_dataset
+from condkd.scenes import SceneSpec, generate_dataset
 from condkd.tensor import ParamGroup
 
 
@@ -66,47 +66,46 @@ class TestElevenPointAp:
         assert abs(eleven_point_ap(np.array([1.0, 0.0]), 2) - 6.0 / 11.0) < 1e-12
 
 
-def one_box_scene(category, x1, y1, x2, y2, image=64):
-    inst = make_instance(category, (x1 + x2) / 2 / image, (y1 + y2) / 2 / image,
-                         (x2 - x1) / image, (y2 - y1) / image, image, image)
-    return Scene(T.constant(np.zeros((image, image, 3))), [inst], (0, 0))
+def one_box(category, x1, y1, x2, y2, image=64):
+    """The instances of a scene holding one pixel-aligned box."""
+    return [make_instance(category, (x1 + x2) / 2 / image, (y1 + y2) / 2 / image,
+                          (x2 - x1) / image, (y2 - y1) / image, image, image)]
 
 
 class TestApFromDetections:
     def test_exact_predictions_score_one(self):
-        scenes = [one_box_scene(0, 8, 8, 24, 24), one_box_scene(1, 4, 4, 30, 40)]
-        dets = [[Detection(0, scenes[0].instances[0].corners(), 0.9)],
-                [Detection(1, scenes[1].instances[0].corners(), 0.8)]]
-        assert ap_from_detections(dets, scenes, 3) == 1.0
+        truth = [one_box(0, 8, 8, 24, 24), one_box(1, 4, 4, 30, 40)]
+        dets = [[Detection(0, truth[0][0].corners(), 0.9)],
+                [Detection(1, truth[1][0].corners(), 0.8)]]
+        assert ap_from_detections(dets, truth, 3) == 1.0
 
     def test_no_predictions_score_zero(self):
-        scenes = [one_box_scene(0, 8, 8, 24, 24)]
-        assert ap_from_detections([[]], scenes, 3) == 0.0
+        assert ap_from_detections([[]], [one_box(0, 8, 8, 24, 24)], 3) == 0.0
 
     def test_detection_cannot_match_across_scenes(self):
-        scenes = [one_box_scene(0, 8, 8, 24, 24), one_box_scene(0, 8, 8, 24, 24)]
-        box = scenes[0].instances[0].corners()
+        truth = [one_box(0, 8, 8, 24, 24), one_box(0, 8, 8, 24, 24)]
+        box = truth[0][0].corners()
         dets = [[Detection(0, box, 0.9), Detection(0, box, 0.8)], []]
         # second duplicate in scene 0 is a FP; scene 1's box is never found
-        assert abs(ap_from_detections(dets, scenes, 3) - 6.0 / 11.0) < 1e-12
+        assert abs(ap_from_detections(dets, truth, 3) - 6.0 / 11.0) < 1e-12
 
     def test_wrong_class_never_matches(self):
-        scenes = [one_box_scene(0, 8, 8, 24, 24)]
-        dets = [[Detection(1, scenes[0].instances[0].corners(), 0.9)]]
-        assert ap_from_detections(dets, scenes, 3) == 0.0
+        truth = [one_box(0, 8, 8, 24, 24)]
+        dets = [[Detection(1, truth[0][0].corners(), 0.9)]]
+        assert ap_from_detections(dets, truth, 3) == 0.0
 
     def test_classes_without_gt_are_excluded_from_the_mean(self):
-        scenes = [one_box_scene(2, 8, 8, 24, 24)]
-        dets = [[Detection(2, scenes[0].instances[0].corners(), 0.9)]]
-        assert ap_from_detections(dets, scenes, 3) == 1.0
+        truth = [one_box(2, 8, 8, 24, 24)]
+        dets = [[Detection(2, truth[0][0].corners(), 0.9)]]
+        assert ap_from_detections(dets, truth, 3) == 1.0
 
     def test_loose_match_threshold_accepts_shifted_box(self):
-        scenes = [one_box_scene(0, 8, 8, 24, 24)]
-        x1, y1, x2, y2 = scenes[0].instances[0].corners()
+        truth = [one_box(0, 8, 8, 24, 24)]
+        x1, y1, x2, y2 = truth[0][0].corners()
         shifted = (x1 + 0.02, y1, x2 + 0.02, y2)
         dets = [[Detection(0, shifted, 0.9)]]
-        assert ap_from_detections(dets, scenes, 3, match_iou=0.5) == 1.0
-        assert ap_from_detections(dets, scenes, 3, match_iou=0.95) == 0.0
+        assert ap_from_detections(dets, truth, 3, match_iou=0.5) == 1.0
+        assert ap_from_detections(dets, truth, 3, match_iou=0.95) == 0.0
 
 
 class TestDecodePredictions:

@@ -9,11 +9,12 @@ from condkd.heatmap import (
     colorize,
     export_attention,
     quantize_mask,
-    read_pgm,
     write_pgm,
     write_ppm,
 )
 from condkd.pyramid import FlatPyramid, layout
+
+from helpers import read_pgm
 
 
 def two_level_flat():

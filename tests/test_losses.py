@@ -151,7 +151,7 @@ class TestDistillLoss:
     def test_equal_features_cost_exactly_zero(self):
         cfg, sys = mini_system(23)
         flat = flatten_pyramid(sys.teacher.backbone_forward(train_scene(cfg, 3).image),
-                               cfg.pos_dim)
+                               cfg.image_size, cfg.pos_dim)
         layer = sys.decoder.layers[-1]
         k = Knowledge(masks=T.constant(np.full((2, 2, 5), 0.2)),
                       values=compute_values(layer, flat))

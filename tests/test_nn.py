@@ -33,6 +33,8 @@ def test_linear_width_mismatch():
     layer = Linear(4, 2, g, np.random.default_rng(0), "f")
     with pytest.raises(ShapeError):
         layer(Tensor(np.zeros((3, 5))))
+    with pytest.raises(ShapeError):  # rows only: no leading axes
+        layer(Tensor(np.zeros((2, 3, 4))))
 
 
 def test_linear_gradcheck():
@@ -42,16 +44,6 @@ def test_linear_gradcheck():
     w = T.constant(np.random.default_rng(4).normal(size=(4, 2)))
     report = finite_diff_check(lambda: T.tsum(T.mul(layer(x), w)), g, step=1e-5, tol=1e-6)
     assert report.passed, str(report)
-
-
-def test_linear_leading_dims():
-    g = ParamGroup("decoder")
-    layer = Linear(3, 2, g, np.random.default_rng(5), "f")
-    x3 = np.random.default_rng(6).normal(size=(2, 4, 3))
-    out = layer(Tensor(x3))
-    assert out.shape == (2, 4, 2)
-    flat = layer(Tensor(x3.reshape(8, 3)))
-    assert np.allclose(out.data.reshape(8, 2), flat.data)
 
 
 def test_mlp3_zero_weights_pass_last_bias():

@@ -7,10 +7,8 @@ from condkd import tensor as T
 from condkd.instances import make_instance
 from condkd.nn import MomentumSGD, sine_pos_embed
 from condkd.pyramid import (
-    STRIDES,
-    DensePredictions,
+    EXP_CAP,
     DetectorConfig,
-    FeaturePyramid,
     ToyDetector,
     assign_cells,
     det_loss,
@@ -35,8 +33,8 @@ def rand_image(cfg, seed=0):
 
 def test_backbone_level_shapes():
     det, _ = build(DESK)
-    pyr = det.backbone_forward(rand_image(DESK))
-    assert [(s, f.shape) for s, f in pyr.levels] == [(8, (8, 8, 32)), (16, (4, 4, 32))]
+    levels = det.backbone_forward(rand_image(DESK))
+    assert [f.shape for f in levels] == [(64, 32), (16, 32)]
 
 
 def test_backbone_rejects_wrong_image_size():
@@ -54,9 +52,8 @@ def test_zero_weight_backbone_constant_features():
     for name, p in g.named():
         if name.startswith(("backbone.", "lateral.")):
             p.data[...] = 0.0
-    pyr = det.backbone_forward(rand_image(TINY))
-    for _, feat in pyr.levels:
-        assert np.all(feat.data == feat.data.reshape(-1, feat.shape[-1])[0])
+    for feat in det.backbone_forward(rand_image(TINY)):
+        assert np.all(feat.data == feat.data[0])
 
 
 def test_backbone_gradcheck():
@@ -67,8 +64,7 @@ def test_backbone_gradcheck():
 
     def f():
         nonlocal weights
-        pyr = det.backbone_forward(img)
-        flat = flatten_pyramid(pyr, 4)
+        flat = flatten_pyramid(det.backbone_forward(img), TINY.image_size, 4)
         if weights is None:
             weights = T.constant(rng.normal(size=flat.A.shape))
         return T.tsum(T.mul(flat.A, weights))
@@ -79,28 +75,33 @@ def test_backbone_gradcheck():
 
 def test_flatten_shapes_and_roundtrip():
     det, _ = build(DESK)
-    pyr = det.backbone_forward(rand_image(DESK))
-    flat = flatten_pyramid(pyr, 8)
+    levels = det.backbone_forward(rand_image(DESK))
+    flat = flatten_pyramid(levels, DESK.image_size, 8)
     assert flat.A.shape == (80, 32)  # 64 + 16 rows
     assert flat.pos.shape == (80, 8 + 2)
     assert flat.layout is layout(DESK.image_size)
     offset = 0
-    for (_, feat), (h, w) in zip(pyr.levels, flat.layout.shapes):
-        block = flat.A.data[offset:offset + h * w]
-        assert np.array_equal(block.reshape(h, w, DESK.feat_dim), feat.data)
+    for feat, (h, w) in zip(levels, flat.layout.shapes):
+        assert np.array_equal(flat.A.data[offset:offset + h * w], feat.data)
         offset += h * w
     assert offset == flat.num_rows
 
 
+def test_level_rows_are_the_lateral_map_row_major():
+    det, _ = build(TINY)
+    img = rand_image(TINY, seed=2)
+    c3 = T.relu(det.conv3(T.relu(det.conv2(T.relu(det.conv1(img))))))
+    lat8 = c3.data @ det.lat8.weight.data.T + det.lat8.bias.data  # the [2, 2, D] map
+    np.testing.assert_allclose(det.backbone_forward(img)[0].data,
+                               lat8.reshape(4, TINY.feat_dim), rtol=1e-12, atol=1e-12)
+
+
 def test_flatten_row_order_is_level_then_row_major():
-    feat8 = np.arange(2 * 2 * 3).reshape(2, 2, 3).astype(float)
-    feat16 = -np.arange(1 * 1 * 3).reshape(1, 1, 3).astype(float)
-    pyr = FeaturePyramid([(8, Tensor(feat8)), (16, Tensor(feat16))], 16)
-    flat = flatten_pyramid(pyr, 4)
-    assert np.array_equal(flat.A.data[0], feat8[0, 0])
-    assert np.array_equal(flat.A.data[1], feat8[0, 1])
-    assert np.array_equal(flat.A.data[2], feat8[1, 0])
-    assert np.array_equal(flat.A.data[4], feat16[0, 0])
+    feat8 = np.arange(4 * 3).reshape(4, 3).astype(float)
+    feat16 = -np.arange(1 * 3).reshape(1, 3).astype(float)
+    flat = flatten_pyramid([Tensor(feat8), Tensor(feat16)], 16, 4)
+    assert np.array_equal(flat.A.data[:4], feat8)
+    assert np.array_equal(flat.A.data[4], feat16[0])
     # the layout's centres run in the same order: level-major, then row-major
     np.testing.assert_array_equal(
         flat.layout.centers, [[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75], [0.5, 0.5]])
@@ -121,7 +122,7 @@ def test_layout_is_cached_and_read_only():
 
 def test_positional_rows_distinct_across_levels():
     det, _ = build(DESK)
-    flat = flatten_pyramid(det.backbone_forward(rand_image(DESK)), 8)
+    flat = flatten_pyramid(det.backbone_forward(rand_image(DESK)), DESK.image_size, 8)
     a = flat.pos[:64]  # stride-8 rows
     b = flat.pos[64:]  # stride-16 rows
     d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
@@ -139,18 +140,24 @@ def test_head_zero_weights_give_prior_outputs():
     det.head_conv.bias.data[...] = 0.0
     det.head_out.weight.data[...] = 0.0
     det.head_out.bias.data[...] = 0.0
-    preds = det.det_head_forward(det.backbone_forward(rand_image(TINY)))
-    for stride, logits, ltrb in preds.levels:
-        assert np.all(logits.data == 0.0)
-        assert np.allclose(ltrb.data, stride / TINY.image_size)
+    logits, ltrb = det.det_head_forward(det.backbone_forward(rand_image(TINY)))
+    assert logits.shape == (5, TINY.num_classes) and ltrb.shape == (5, 4)
+    assert np.all(logits.data == 0.0)
+    # level-major rows: four stride-8 cells, then one stride-16 cell
+    np.testing.assert_array_equal(ltrb.data, [[0.5] * 4] * 4 + [[1.0] * 4])
 
 
-def test_head_single_cell_prediction_shape():
+def test_head_caps_the_box_exponent():
     det, _ = build(TINY)
-    pyr = FeaturePyramid([(16, Tensor(np.random.default_rng(3).normal(size=(1, 1, 4))))], 16)
-    preds = det.det_head_forward(pyr)
-    logits, ltrb = preds.flat()
-    assert T.concat([logits, ltrb], axis=-1).shape == (1, TINY.num_classes + 4)
+    det.head_out.weight.data[...] = 0.0
+    det.head_out.bias.data[...] = [0.0, 0.0, 1e3, 1.0, -1e3, EXP_CAP]
+    logits, ltrb = det.det_head_forward(det.backbone_forward(rand_image(TINY)))
+    side = layout(TINY.image_size).sides[:, None]
+    np.testing.assert_array_equal(ltrb.data, np.exp([EXP_CAP, 1.0, -1e3, EXP_CAP]) * side)
+    # no gradient through a capped exponent, the usual one elsewhere
+    backward(T.tsum(ltrb))
+    bias_grad = det.head_out.bias.grad
+    assert bias_grad[2] == 0.0 and bias_grad[3] > 0.0 and bias_grad[5] > 0.0
 
 
 def test_head_gradcheck():
@@ -160,8 +167,7 @@ def test_head_gradcheck():
     w = {}
 
     def f():
-        preds = det.det_head_forward(det.backbone_forward(img))
-        logits, ltrb = preds.flat()
+        logits, ltrb = det.det_head_forward(det.backbone_forward(img))
         if not w:
             w["lg"] = T.constant(rng.normal(size=logits.shape))
             w["lt"] = T.constant(rng.normal(size=ltrb.shape))
@@ -175,13 +181,8 @@ def num_cells(cfg):
     return layout(cfg.image_size).centers.shape[0]
 
 
-def manual_preds(cfg, logits, ltrb):
-    levels, off = [], 0
-    for s, (h, w) in zip(STRIDES, layout(cfg.image_size).shapes):
-        n = h * w
-        levels.append((s, Tensor(logits[off : off + n]), Tensor(ltrb[off : off + n])))
-        off += n
-    return DensePredictions(levels, cfg.image_size)
+def manual_preds(logits, ltrb):
+    return Tensor(logits), Tensor(ltrb)
 
 
 def test_det_loss_no_instances_is_negative_bce():
@@ -189,7 +190,7 @@ def test_det_loss_no_instances_is_negative_bce():
     rng = np.random.default_rng(6)
     logits = rng.normal(size=(num_cells(cfg), cfg.num_classes))
     ltrb = np.abs(rng.normal(size=(num_cells(cfg), 4)))
-    loss = det_loss(manual_preds(cfg, logits, ltrb), [], cfg)
+    loss = det_loss(manual_preds(logits, ltrb), [], cfg)
     expected = np.log1p(np.exp(logits)).sum()  # all-negative BCE, hand form
     assert loss.item() == pytest.approx(expected, rel=1e-12)
 
@@ -201,7 +202,7 @@ def test_det_loss_perfect_predictions_near_zero():
     assign, ltrb_tgt = assign_cells(centers, [inst])
     logits = np.full((num_cells(cfg), cfg.num_classes), -20.0)
     logits[assign >= 0, inst.category] = 20.0
-    loss = det_loss(manual_preds(cfg, logits, ltrb_tgt), [inst], cfg)
+    loss = det_loss(manual_preds(logits, ltrb_tgt), [inst], cfg)
     assert (assign >= 0).sum() > 0
     assert loss.item() < 1e-3
 
@@ -216,8 +217,8 @@ def test_det_loss_permutation_invariant():
     ]
     logits = rng.normal(size=(num_cells(cfg), cfg.num_classes))
     ltrb = np.abs(rng.normal(size=(num_cells(cfg), 4)))
-    a = det_loss(manual_preds(cfg, logits, ltrb), insts, cfg).item()
-    b = det_loss(manual_preds(cfg, logits, ltrb), insts[::-1], cfg).item()
+    a = det_loss(manual_preds(logits, ltrb), insts, cfg).item()
+    b = det_loss(manual_preds(logits, ltrb), insts[::-1], cfg).item()
     assert a == b
 
 
@@ -238,7 +239,7 @@ def test_det_loss_nonnegative():
                                *rng.uniform(0.2, 0.5, 2), cfg.image_size, cfg.image_size)]
         logits = rng.normal(size=(num_cells(cfg), cfg.num_classes))
         ltrb = np.abs(rng.normal(size=(num_cells(cfg), 4)))
-        assert det_loss(manual_preds(cfg, logits, ltrb), insts, cfg).item() >= 0.0
+        assert det_loss(manual_preds(logits, ltrb), insts, cfg).item() >= 0.0
 
 
 def test_det_loss_rejects_fakes():
@@ -246,7 +247,7 @@ def test_det_loss_rejects_fakes():
     fake = make_instance(0, 0.5, 0.5, 0.3, 0.3, 16, 16, is_real=False)
     logits = np.zeros((num_cells(cfg), cfg.num_classes))
     with pytest.raises(ValueError):
-        det_loss(manual_preds(cfg, logits, np.ones((num_cells(cfg), 4))), [fake], cfg)
+        det_loss(manual_preds(logits, np.ones((num_cells(cfg), 4))), [fake], cfg)
 
 
 def test_inherit_identical_architectures():

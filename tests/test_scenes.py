@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from condkd.scenes import (Scene, SceneSpec, _paint, class_colors, generate_dataset,
-                           generate_scene, scene_instances)
+from condkd.scenes import (Scene, SceneSpec, SceneStream, _paint, class_colors,
+                           generate_dataset, generate_scene, scene_instances)
 
 
 class TestDeterminism:
@@ -34,6 +34,18 @@ class TestDeterminism:
         long = generate_dataset(spec, 11, 7)
         for a, b in zip(short, long):
             np.testing.assert_array_equal(a.image.data, b.image.data)
+
+    def test_stream_generates_each_scene_when_read(self):
+        spec = SceneSpec(image_size=16)
+        stream = SceneStream(spec, (9, 2), 3)
+        assert len(stream) == 3
+        for i, scene in enumerate(stream):
+            assert scene.seed == (9, 2, i)
+            np.testing.assert_array_equal(scene.image.data,
+                                          generate_scene(spec, (9, 2, i)).image.data)
+        assert stream[-1].seed == (9, 2, 2)
+        with pytest.raises(IndexError):
+            stream[3]
 
 
 class TestGeometry:

@@ -411,12 +411,12 @@ def test_pad_hw_gradient_and_values():
 
 def _reference_patches(x, kernel, stride):
     """pad_hw then gather_flat with an index built by explicit loops."""
-    b, h, w, c = x.shape
+    h, w, c = x.shape
     pad = (kernel - 1) // 2
-    hp, wp = h + 2 * pad, w + 2 * pad
-    idx = np.array([[((bi * hp + oy * stride + ky) * wp + ox * stride + kx) * c + ci
+    wp = w + 2 * pad
+    idx = np.array([[((oy * stride + ky) * wp + ox * stride + kx) * c + ci
                      for ky in range(kernel) for kx in range(kernel) for ci in range(c)]
-                    for bi in range(b) for oy in range(h // stride) for ox in range(w // stride)])
+                    for oy in range(h // stride) for ox in range(w // stride)])
     padded = T.pad_hw(x, pad) if pad else x
     return T.gather_flat(padded, idx, idx.shape)
 
@@ -436,18 +436,18 @@ def _fused_and_composed(build, seed):
     return results
 
 
-@pytest.mark.parametrize("b, h, c, kernel, stride, out_ch", [
-    (1, 8, 3, 3, 2, 4), (2, 4, 5, 3, 1, 3), (1, 6, 4, 1, 1, 2), (1, 8, 2, 1, 2, 5)])
-def test_conv2d_matches_composed_form_bit_for_bit(b, h, c, kernel, stride, out_ch):
+@pytest.mark.parametrize("h, c, kernel, stride, out_ch", [
+    (8, 3, 3, 2, 4), (4, 5, 3, 1, 3), (6, 4, 1, 1, 2), (8, 2, 1, 2, 5)])
+def test_conv2d_matches_composed_form_bit_for_bit(h, c, kernel, stride, out_ch):
     def build(rng, fused):
-        x = Tensor(rng.normal(size=(b, h, h, c)), requires_grad=True)
+        x = Tensor(rng.normal(size=(h, h, c)), requires_grad=True)
         w = Tensor(rng.normal(size=(out_ch, kernel * kernel * c)), requires_grad=True)
         bias = Tensor(rng.normal(size=out_ch), requires_grad=True)
         if fused:
             y = T.conv2d(T.relu(x), w, bias, kernel, stride)
         else:
             cols = _reference_patches(T.relu(x), kernel, stride)
-            y = T.reshape(T.linear(cols, w, bias), (b, h // stride, h // stride, out_ch))
+            y = T.reshape(T.linear(cols, w, bias), (h // stride, h // stride, out_ch))
         backward(scalar_loss(T.mul(y, y)))
         return y, (x, w, bias)
 
@@ -456,13 +456,14 @@ def test_conv2d_matches_composed_form_bit_for_bit(b, h, c, kernel, stride, out_c
 
 
 def test_conv2d_rejects_mismatched_weight_and_even_kernel():
-    x = Tensor(np.zeros((1, 4, 4, 2)))
+    x = Tensor(np.zeros((4, 4, 2)))
     with pytest.raises(ShapeError):
         T.conv2d(x, Tensor(np.zeros((3, 9))), Tensor(np.zeros(3)), 3, 1)
     with pytest.raises(ShapeError):
         T.conv2d(x, Tensor(np.zeros((3, 8))), Tensor(np.zeros(3)), 2, 1)
-    with pytest.raises(ShapeError):
-        T.conv2d(Tensor(np.zeros((4, 4, 2))), Tensor(np.zeros((3, 18))), Tensor(np.zeros(3)), 3, 1)
+    with pytest.raises(ShapeError):  # a batch axis
+        T.conv2d(Tensor(np.zeros((1, 4, 4, 2))), Tensor(np.zeros((3, 18))), Tensor(np.zeros(3)),
+                 3, 1)
 
 
 @pytest.mark.parametrize("widths, x_grad", [((5, 4, 4, 3), True), ((5, 4, 4, 3), False),
