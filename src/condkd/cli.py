@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: gen-data, train-teacher, distill, ablate (attention | heads |
-aux | lambda | cascade), export-attn, gradcheck, routing-check. Every
-subcommand accepts --config (plain `key = value` file), --seed, --out-dir.
+aux | lambda | cascade), export-attn, gradcheck, routing-check. The first
+five accept --config (plain `key = value` file), --seed, --out-dir; the two
+checks build their own mini systems and take only --seed (default 0).
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from .scenes import generate_dataset
 from .train import (ABLATIONS, decode_conditions, distill_student, heldout_scenes, load_system,
                     sweep, train_teacher)
 from . import verify
-
-logger = logging.getLogger("condkd")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -63,11 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", type=int, default=0)
     p.add_argument("--head", type=int, default=0)
 
-    p = sub.add_parser("gradcheck", help="finite-difference checks: ops + composed loss")
-    _add_common(p)
-
-    p = sub.add_parser("routing-check", help="gradient routing audit")
-    _add_common(p)
+    for name, text in (("gradcheck", "finite-difference checks: ops + composed loss"),
+                       ("routing-check", "gradient routing audit")):
+        sub.add_parser(name, help=text).add_argument(
+            "--seed", type=int, default=0, help="mini-system seed (default 0)")
 
     return parser
 
@@ -167,17 +165,15 @@ def cmd_export_attn(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg_seed = args.seed if args.seed is not None else 0
-    ops = verify.gradcheck_ops(seed=cfg_seed)
+    ops = verify.gradcheck_ops(seed=args.seed)
     print(ops)
-    composed = verify.gradcheck_composed(seed=cfg_seed)
+    composed = verify.gradcheck_composed(seed=args.seed)
     print(composed)
     return 0 if (ops.passed and composed.passed) else 1
 
 
 def cmd_routing_check(args) -> int:
-    cfg_seed = args.seed if args.seed is not None else 0
-    report = verify.routing_audit(seed=cfg_seed)
+    report = verify.routing_audit(seed=args.seed)
     print(report)
     return 0 if report.passed else 1
 

@@ -95,9 +95,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -172,19 +169,6 @@ def mul(a, b) -> Tensor:
     return _from_op(out, (a, b), vjp)
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data / b.data
-
-    def vjp(g):
-        return (
-            _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None,
-        )
-
-    return _from_op(out, (a, b), vjp)
-
-
 def absolute(a) -> Tensor:
     a = as_tensor(a)
     return _from_op(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
@@ -199,12 +183,6 @@ def exp(a) -> Tensor:
 def log(a) -> Tensor:
     a = as_tensor(a)
     return _from_op(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.sqrt(a.data)
-    return _from_op(out, (a,), lambda g: (g * 0.5 / out,))
 
 
 def relu(a) -> Tensor:

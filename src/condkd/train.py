@@ -5,7 +5,8 @@ Every run draws its scenes from a per-seed stream (seed, 1, i) and evaluates
 on a held-out stream (seed, 2, i), so runs that share a seed consume
 bit-identical data regardless of variant, and no training scene ever leaks
 into evaluation. Both training loops split each iteration's scenes across
-forked processes that steal work (`SceneSteps`), bit-identically at any count.
+forked processes that claim them in order (`SceneSteps`), bit-identically at
+any count.
 """
 
 from __future__ import annotations
@@ -112,18 +113,17 @@ def _process_count(batch_size: int) -> int:
 
 
 class SceneSteps:
-    """The training step of one loop, its B scenes split into contiguous
-    blocks, one block per process; the calling process takes the first.
+    """The training step of one loop, its B scenes split across processes
+    that claim them as they go; the calling process is one of them.
 
-    Every process passes scenes j = 0..B-1 in order, calling
-    ``scene(it, j, own)``: for a scene it computes (own true) the callback
-    returns the scalar to backpropagate and the scene's loss values; for the
-    others it only makes the scene's draws from the loop's stream `rng`. A
-    process computes its block's first scene and each later one it still
-    claims (one lock over a shared map). Past scene B-1 it steals: until
-    none is left, it claims the highest unclaimed scene, never a block's
-    first, and computes it from the `rng` state it recorded at that scene's
-    start. Then it puts `rng` at its state after scene B-1.
+    Every process walks scenes j = 0..B-1 in order, calling
+    ``scene(it, j, own)``. It claims scene j if no process has (one lock
+    over a shared map, cleared before each step) and computes it (own
+    true): the callback returns the scalar to backpropagate and the scene's
+    loss values. A scene already claimed it passes with own false: the
+    callback makes only the scene's draws and returns None. So every
+    process's streams pass every scene in order, and a scene's draws do not
+    depend on which process computes it.
 
     Each computed scene is backpropagated alone into the groups' zeroed
     ``grad`` buffers, private to the process, then copied to that scene's
@@ -142,9 +142,8 @@ class SceneSteps:
     reaps every worker.
     """
 
-    def __init__(self, groups: list[ParamGroup], batch_size: int, width: int, scene, rng=None):
+    def __init__(self, groups: list[ParamGroup], batch_size: int, width: int, scene):
         self.groups, self.batch, self.width, self.scene = groups, batch_size, width, scene
-        self.rng = np.random.default_rng(0) if rng is None else rng  # unused if not given
         self.workers: list[tuple[int, int, int]] = []  # pid, "go" write end, "done" read end
         self.grads = None  # [B x total parameter size] slots, once started
 
@@ -173,11 +172,7 @@ class SceneSteps:
         self.grads = shared[n:(1 + b) * n].reshape(b, n)
         self.losses = shared[(1 + b) * n:-b].reshape(b, self.width)
         self.claims, self.lock = shared[-b:], get_context("fork").Lock()
-        procs = _process_count(b)
-        edges = [k * b // procs for k in range(procs + 1)]
-        self.firsts = np.isin(np.arange(b), edges[:-1]).astype(float)  # claimed at the start
-        self.own = range(edges[0], edges[1])
-        for lo, hi in zip(edges[1:], edges[2:]):
+        for _ in range(_process_count(b) - 1):
             go_r, go_w = os.pipe()
             done_r, done_w = os.pipe()
             try:
@@ -187,19 +182,19 @@ class SceneSteps:
                     os.close(fd)
                 raise
             if pid == 0:
-                self._serve(range(lo, hi), go_r, done_w, (go_w, done_r))
+                self._serve(go_r, done_w, (go_w, done_r))
             os.close(go_r)
             os.close(done_w)
             self.workers.append((pid, go_w, done_r))
 
-    def _serve(self, own: range, go: int, done: int, parent_ends) -> None:
-        """A worker's life: one block of scenes per iteration number read
-        from `go`, until EOF. Never returns."""
+    def _serve(self, go: int, done: int, parent_ends) -> None:
+        """A worker's life: one walk over the scenes per iteration number
+        read from `go`, until EOF. Never returns."""
         try:
             for fd in parent_ends + tuple(fd for _, w, r in self.workers for fd in (w, r)):
                 os.close(fd)
             while msg := os.read(go, 8):
-                self._run(int.from_bytes(msg, "little"), own)
+                self._run(int.from_bytes(msg, "little"))
                 os.write(done, b"\0")
         except BaseException:  # interrupts too: a worker never unwinds into the caller
             try:
@@ -209,36 +204,23 @@ class SceneSteps:
         finally:
             os._exit(0)
 
-    def _claim(self, scenes) -> int | None:
-        """Claim the last of `scenes` that no process has claimed, if any."""
-        with self.lock:
-            for j in reversed(scenes):
-                if not self.claims[j]:
-                    self.claims[j] = 1.0
-                    return j
-
-    def _run(self, it: int, block: range) -> None:
-        rng, starts = self.rng, []
+    def _run(self, it: int) -> None:
         for j in range(self.batch):
-            starts.append(rng.bit_generator.state)
-            self._compute(it, j, j == block.start or (j in block and self._claim((j,)) == j))
-        end = rng.bit_generator.state
-        while (j := self._claim(range(self.batch))) is not None:
-            rng.bit_generator.state = starts[j]
-            self._compute(it, j, True)
-        rng.bit_generator.state = end
+            with self.lock:
+                own = not self.claims[j]
+                self.claims[j] = 1.0
+            self._compute(it, j, own)
 
     def _compute(self, it: int, j: int, own: bool) -> None:
-        out = self.scene(it, j, own)
-        if out is None:
+        """Scene j; its graph is freed on return, before the next is built."""
+        if (out := self.scene(it, j, own)) is None:
             return
         root, values = out
         for g in self.groups:
             g.zero_grad()
         T.backward(root)
-        slot = self.grads[j]
         for g, lo, hi in self.spans:
-            slot[lo:hi] = g.grad
+            self.grads[j, lo:hi] = g.grad
         self.losses[j] = values
 
     def step(self, it: int) -> np.ndarray:
@@ -247,10 +229,10 @@ class SceneSteps:
         loss values, [B x width]."""
         if self.grads is None:
             self._start()
-        self.claims[...] = self.firsts
+        self.claims[...] = 0.0
         for _, go, _ in self.workers:
             os.write(go, it.to_bytes(8, "little"))
-        self._run(it, self.own)
+        self._run(it)
         for pid, _, done in self.workers:
             reply = os.read(done, 1 << 16)
             if reply == b"\0":
@@ -511,7 +493,7 @@ def distill_student(cfg: ExperimentConfig, teacher_state: dict, out_dir: str,
         return root, tuple(p.item() for p in parts)
 
     trained = [sys.groups[name] for name in TRAINED_GROUPS]
-    with SceneSteps(trained, b, 4, scene, cond_rng) as steps:
+    with SceneSteps(trained, b, 4, scene) as steps:
         for it in range(cfg.student_iters):
             det, idf, loc, dis = (_scene_mean(col) for col in steps.step(it).T)
             final = {"loss_det": det, "loss_aux_idf": idf, "loss_aux_reg": loc,

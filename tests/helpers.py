@@ -1,13 +1,14 @@
 """Shared test helpers: pixel-aligned instances, the production system on
 the mini config (image 16x16, two classes, width 8, two heads, L = 5
 pyramid cells), small enough for finite differences, loop references for
-code that production computes with array operations, and a reader for the
-PGM files `heatmap` writes."""
+code that production computes with array operations, the autodiff ops only
+those references use, and a reader for the PGM files `heatmap` writes."""
 
 import numpy as np
 
 from condkd.instances import encode_set, make_instance
 from condkd.pyramid import STRIDES
+from condkd.tensor import Tensor, _from_op, _unbroadcast, as_tensor
 from condkd.train import build_system
 from condkd.verify import mini_config
 
@@ -64,6 +65,26 @@ def loop_mask_row(variant, instances, image_size):
             row[r] = best
     n = len(cells)
     return row / row.sum() if row.sum() > 0 else np.full(n, 1.0 / n)
+
+
+def div(a, b) -> Tensor:
+    """Elementwise a / b, differentiable in both operands."""
+    a, b = as_tensor(a), as_tensor(b)
+    out = a.data / b.data
+
+    def vjp(g):
+        return (
+            _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None,
+        )
+
+    return _from_op(out, (a, b), vjp)
+
+
+def sqrt(a) -> Tensor:
+    a = as_tensor(a)
+    out = np.sqrt(a.data)
+    return _from_op(out, (a,), lambda g: (g * 0.5 / out,))
 
 
 def _read_header(f):

@@ -14,20 +14,12 @@ at once with the fingerprint and the rebuild command, and
 `test_committed_cache_matches_code` fails too; nothing trains. With
 CONDKD_CACHE=<dir>, the fixture replays a valid <dir>/<fingerprint>/ or
 clears and rebuilds it there; commit the rebuilt directory with the code
-change that caused it. A rebuild took 11-34 min on a 2-vCPU box while each
-training step ran in one process. With each step's scenes split across both
-vCPUs it took 20.8-22.9 min on a slow stretch of that box, where the
-one-process code took 31.2 min, and a later from-empty rebuild took 26.6 min
-of training (27.1 min for the whole file). The rebuild from empty for flat
-parameter storage took 20.3 min for the whole file (teacher 46 s, c06
-students 386 s, attention sweep 689 s, head sweep 79 s), and the one for the
-cached pyramid layout 20.9 min (44 s, 381 s, 698 s, 107 s). With work
-stealing between the processes and the draw-only skip, two rebuilds from
-empty took 14.0 and 16.0 min for the whole file (42/37 s, 283/266 s,
-442/567 s, 53/71 s), and with the levels and predictions as cell rows one
-took 11.5 min (29 s, 223 s, 376 s, 45 s). On the same machine it reproduces checkpoints and metrics.csv bit for bit; the
-from-empty rebuilds for changes that left the arithmetic untouched
-reproduced all 45 files of the cache they replaced. All other criteria, and
+change that caused it. A rebuild is paid once per code change; the
+last one from empty took 9.7 min for this file on a 2-vCPU box (teacher 28 s,
+c06 students 182 s, attention sweep 320 s, head sweep 36 s). On the same
+machine a rebuild reproduces checkpoints and metrics.csv bit for bit, and a
+from-empty rebuild for a change that leaves the arithmetic untouched
+reproduces all 45 files of the cache it replaces. All other criteria, and
 c09's reduced-iteration rerun, recompute from scratch on every run."""
 
 import dataclasses

@@ -208,6 +208,12 @@ class TestVerificationCommands:
         monkeypatch.setattr(cli.verify, "gradcheck_composed", lambda seed: Stub(False))
         assert cli.cli_main(["gradcheck"]) == 1
 
+    @pytest.mark.parametrize("argv", [["routing-check", "--config", "x"],
+                                      ["gradcheck", "--out-dir", "y"]])
+    def test_checks_reject_options_they_would_ignore(self, argv, capsys):
+        assert cli.cli_main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 def _package_env(**overrides):
     """The environment for a subprocess that imports condkd: pytest's

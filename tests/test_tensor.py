@@ -23,6 +23,8 @@ from condkd.tensor import (
     finite_diff_check,
 )
 
+from helpers import div, sqrt
+
 
 def scalar_loss(t):
     """Reduce any tensor to a scalar with a fixed weighting, for grad checks."""
@@ -156,7 +158,7 @@ def _composed_layernorm(x, eps=1e-5):
     mu = T.tmean(x, axis=-1, keepdims=True)
     centered = x - mu
     var = T.tmean(centered * centered, axis=-1, keepdims=True)
-    return centered / T.sqrt(var + eps)
+    return div(centered, sqrt(var + eps))
 
 
 def _shared_input_grads(norm, shape, norm_first):
@@ -336,11 +338,11 @@ def test_finite_diff_rejects_nondeterministic_f():
         ("add", lambda x: T.add(x, T.constant(np.linspace(0.1, 1.0, x.data.size).reshape(x.shape)))),
         ("sub_via_neg", lambda x: T.add(T.neg(x), x * 2.0)),
         ("mul_self", lambda x: T.mul(x, x)),
-        ("div", lambda x: T.div(T.constant(np.ones(x.shape)), T.add(T.mul(x, x), T.constant(1.0)))),
+        ("div", lambda x: div(T.constant(np.ones(x.shape)), T.add(T.mul(x, x), T.constant(1.0)))),
         ("abs_shifted", lambda x: T.absolute(T.add(x, T.constant(5.0)))),
         ("exp", lambda x: T.exp(x)),
         ("log_shifted", lambda x: T.log(T.add(T.mul(x, x), T.constant(1.5)))),
-        ("sqrt_shifted", lambda x: T.sqrt(T.add(T.mul(x, x), T.constant(2.0)))),
+        ("sqrt_shifted", lambda x: sqrt(T.add(T.mul(x, x), T.constant(2.0)))),
         ("relu_shifted", lambda x: T.relu(T.add(x, T.constant(3.0)))),
         ("sigmoid", lambda x: T.sigmoid(x)),
         ("softplus", lambda x: T.softplus(x)),

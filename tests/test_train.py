@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -376,7 +377,7 @@ class TestSceneParallel:
         return slow, computed
 
     @pytest.mark.parametrize("slow", ["caller", "worker"])
-    def test_stolen_scenes_give_the_same_bytes(self, slow, procs, slowed, tmp_path):
+    def test_uneven_splits_give_the_same_bytes(self, slow, procs, slowed, tmp_path):
         cfg = mini_config(batch_size=8, teacher_iters=3, student_iters=3, warmup_iters=1)
         one, two = str(tmp_path / "p1"), str(tmp_path / "p2")
         procs(1)
@@ -392,14 +393,14 @@ class TestSceneParallel:
         fast = "worker" if slow == "caller" else "caller"
         for loop in split:
             assert sum(loop.values()) == 3 * 8  # each scene once
-            assert loop[slow] >= 3  # a block's first scene is never stolen
-            assert loop[fast] > 3 * 4, loop  # the fast side stole from the slow one's block
+            assert loop[fast] > 3 * 4, loop  # the fast side computed more than half
         assert len(forked) == 2
         assert_no_child_process()
         for name in ("teacher.ckpt", "distill.ckpt", "metrics.csv"):
             assert read_bytes(os.path.join(one, name)) == read_bytes(os.path.join(two, name)), name
 
-    def test_worker_that_dies_after_a_steal_is_reported(self, procs, tmp_path, monkeypatch):
+    def test_worker_that_dies_past_an_even_split_is_reported(self, procs, tmp_path,
+                                                             monkeypatch):
         procs(2)
         parent, det_loss, calls = os.getpid(), tr.det_loss, []
 
@@ -408,7 +409,7 @@ class TestSceneParallel:
                 time.sleep(0.05)
             else:
                 calls.append(None)
-                if len(calls) > 4:  # past the worker's block of four: a stolen scene
+                if len(calls) > 4:  # a fifth of eight scenes: more than an even share
                     os._exit(3)
             return det_loss(*a, **k)
 
@@ -416,6 +417,69 @@ class TestSceneParallel:
         with pytest.raises(tr.SceneWorkerError, match="exited during iteration 0"):
             tr.train_teacher(mini_config(batch_size=8, teacher_iters=2), str(tmp_path))
         assert_no_child_process()
+
+    @pytest.mark.parametrize("slow", ["caller", "worker"])
+    def test_a_stream_the_loop_never_sees_passes_every_scene_in_order(self, slow, procs):
+        procs(2)
+        parent, rng = os.getpid(), np.random.default_rng(5)
+        group = ParamGroup("student")
+        weight = group.add("w", np.ones(3))
+
+        def scene(it, j, own):
+            draw = rng.random()  # every scene's draw, computed here or not
+            if not own:
+                return None
+            if (os.getpid() == parent) == (slow == "caller"):
+                time.sleep(0.05)
+            loss = T.tsum(T.mul(weight, weight))
+            return loss, (draw,)
+
+        with tr.SceneSteps([group], 8, 1, scene) as steps:
+            rows = [steps.step(it)[:, 0] for it in range(3)]
+        assert_no_child_process()
+        np.testing.assert_array_equal(rows, np.random.default_rng(5).random((3, 8)))
+
+    def test_more_processes_than_cores_compute_each_scene_once(self, procs, tmp_path):
+        n = len(os.sched_getaffinity(0)) + 2
+        forked = procs(n)
+        log = tmp_path / "computed"
+        group = ParamGroup("student")
+        weight = group.add("w", np.ones(3))
+
+        def scene(it, j, own):
+            if not own:
+                return None
+            with open(log, "a") as f:
+                f.write(f"{it},{j}\n")
+            loss = T.tsum(T.mul(weight, weight))
+            return loss, (float(j),)
+
+        with tr.SceneSteps([group], 2 * n, 1, scene) as steps:
+            for it in range(20):
+                assert steps.step(it)[:, 0].tolist() == list(range(2 * n))
+        assert len(forked) == n - 1
+        assert_no_child_process()
+        lines = log.read_text().splitlines()
+        assert sorted(lines) == sorted(f"{it},{j}" for it in range(20) for j in range(2 * n))
+
+    def test_a_scene_graph_is_freed_before_the_next_is_built(self, procs):
+        # two live graphs at once would raise a loop's peak memory
+        procs(1)
+        group = ParamGroup("student")
+        weight = group.add("w", np.ones(3))
+        inner = []
+
+        def scene(it, j, own):
+            assert all(r() is None for r in inner), (it, j)
+            product = T.mul(weight, weight)
+            inner.append(weakref.ref(product.data))  # held only by the scene's graph
+            loss = T.tsum(product)
+            return loss, (loss.item(),)
+
+        with tr.SceneSteps([group], 4, 1, scene) as steps:
+            steps.step(0)
+            steps.step(1)
+        assert len(inner) == 8
 
     def test_groups_hold_no_spare_room(self, procs, mini_teacher):
         def assert_trimmed(groups):
