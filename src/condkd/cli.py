@@ -19,9 +19,8 @@ from .checkpoint import CheckpointError, load_checkpoint
 from .config import ExperimentConfig, load_config
 from .heatmap import export_attention, write_ppm
 from .instances import compute_stats
-from .scenes import generate_dataset
 from .train import (ABLATIONS, decode_conditions, distill_student, heldout_scenes, load_system,
-                    sweep, train_teacher)
+                    sweep, train_scene, train_teacher)
 from . import verify
 
 
@@ -36,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="instance-conditional distillation harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="materialize scenes, stats, and previews")
+    p = sub.add_parser("gen-data", help="materialize the training scenes, stats, and previews")
     _add_common(p)
     p.add_argument("--count", type=int, default=64, help="number of scenes (default 64)")
 
@@ -99,7 +98,7 @@ def _seeds(raw: str) -> tuple[int, ...]:
 def cmd_gen_data(args) -> int:
     cfg = _config(args)
     os.makedirs(args.out_dir, exist_ok=True)
-    scenes = generate_dataset(cfg.scene_spec(), cfg.seed, args.count)
+    scenes = [train_scene(cfg, i) for i in range(args.count)]
     s = cfg.image_size
     with open(os.path.join(args.out_dir, "scenes.csv"), "w") as f:
         f.write("scene,category,x1,y1,x2,y2\n")

@@ -139,8 +139,3 @@ class SceneStream(Sequence):
     def __getitem__(self, i: int) -> Scene:
         return generate_scene(self.spec, self.prefix + (range(self.n)[i],))
 
-
-def generate_dataset(spec: SceneSpec, seed: int, count: int) -> list[Scene]:
-    """count scenes with independent per-scene streams; scene i only ever
-    depends on (seed, i), so datasets are stable under count changes."""
-    return [generate_scene(spec, (seed, i)) for i in range(count)]

@@ -4,9 +4,9 @@ ablation sweeps, all fully deterministic from the experiment config.
 Every run draws its scenes from a per-seed stream (seed, 1, i) and evaluates
 on a held-out stream (seed, 2, i), so runs that share a seed consume
 bit-identical data regardless of variant, and no training scene ever leaks
-into evaluation. Both training loops split each iteration's scenes across
-forked processes that claim them in order (`SceneSteps`), bit-identically at
-any count.
+into evaluation. Teacher and student train through one loop (`_train`),
+which splits each iteration's scenes across forked processes by a fixed
+interleave (`SceneSteps`), bit-identically at any count.
 """
 
 from __future__ import annotations
@@ -113,17 +113,17 @@ def _process_count(batch_size: int) -> int:
 
 
 class SceneSteps:
-    """The training step of one loop, its B scenes split across processes
-    that claim them as they go; the calling process is one of them.
+    """The training step of one loop, its B scenes split across P processes
+    by a fixed interleave: scene j goes to the process of rank j mod P. The
+    calling process is rank 0.
 
     Every process walks scenes j = 0..B-1 in order, calling
-    ``scene(it, j, own)``. It claims scene j if no process has (one lock
-    over a shared map, cleared before each step) and computes it (own
-    true): the callback returns the scalar to backpropagate and the scene's
-    loss values. A scene already claimed it passes with own false: the
-    callback makes only the scene's draws and returns None. So every
-    process's streams pass every scene in order, and a scene's draws do not
-    depend on which process computes it.
+    ``scene(it, j, own)``. It computes its own scenes (own true): the
+    callback returns the scalar to backpropagate and the scene's loss
+    values. Another rank's scene it passes with own false: the callback
+    makes only the scene's draws and returns None. So every process's
+    streams pass every scene in order, and a scene's draws do not depend on
+    which process computes it.
 
     Each computed scene is backpropagated alone into the groups' zeroed
     ``grad`` buffers, private to the process, then copied to that scene's
@@ -162,17 +162,16 @@ class SceneSteps:
                 g.trim()
 
     def _start(self) -> None:
-        from multiprocessing import get_context  # a 15 ms import, paid only by a started loop
         b, bounds = self.batch, np.cumsum([0] + [g.data.size for g in self.groups])
         self.spans = [(g, int(lo), int(hi)) for g, lo, hi in zip(self.groups, bounds, bounds[1:])]
         n = int(bounds[-1])
-        shared = np.frombuffer(mmap.mmap(-1, 8 * ((1 + b) * n + b * (self.width + 1))), np.float64)
+        shared = np.frombuffer(mmap.mmap(-1, 8 * ((1 + b) * n + b * self.width)), np.float64)
         for g, lo, hi in self.spans:
             g.bind(shared[lo:hi])
         self.grads = shared[n:(1 + b) * n].reshape(b, n)
-        self.losses = shared[(1 + b) * n:-b].reshape(b, self.width)
-        self.claims, self.lock = shared[-b:], get_context("fork").Lock()
-        for _ in range(_process_count(b) - 1):
+        self.losses = shared[(1 + b) * n:].reshape(b, self.width)
+        self.rank, self.procs = 0, _process_count(b)
+        for rank in range(1, self.procs):
             go_r, go_w = os.pipe()
             done_r, done_w = os.pipe()
             try:
@@ -182,6 +181,7 @@ class SceneSteps:
                     os.close(fd)
                 raise
             if pid == 0:
+                self.rank = rank
                 self._serve(go_r, done_w, (go_w, done_r))
             os.close(go_r)
             os.close(done_w)
@@ -206,10 +206,7 @@ class SceneSteps:
 
     def _run(self, it: int) -> None:
         for j in range(self.batch):
-            with self.lock:
-                own = not self.claims[j]
-                self.claims[j] = 1.0
-            self._compute(it, j, own)
+            self._compute(it, j, j % self.procs == self.rank)
 
     def _compute(self, it: int, j: int, own: bool) -> None:
         """Scene j; its graph is freed on return, before the next is built."""
@@ -229,7 +226,6 @@ class SceneSteps:
         loss values, [B x width]."""
         if self.grads is None:
             self._start()
-        self.claims[...] = 0.0
         for _, go, _ in self.workers:
             os.write(go, it.to_bytes(8, "little"))
         self._run(it)
@@ -277,6 +273,37 @@ def strip_meta(state: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {k: v for k, v in state.items() if not k.startswith("__cfg__.")}
 
 
+def _train(cfg: ExperimentConfig, metrics: MetricsWriter, model: ToyDetector,
+           opts: list[MomentumSGD], iters: int, scene, label: str) -> tuple[dict, float]:
+    """The loop both trainers run: `iters` steps over the optimizers'
+    groups, each the scene mean of the four loss values `scene` returns
+    (see SceneSteps), a non-finite check and one step per optimizer; a row
+    every LOG_EVERY iterations, one with the held-out AP of `model` every
+    `cfg.eval_every`, and a final one. Returns the last means and that AP."""
+    final = dict.fromkeys(("loss_det", "loss_aux_idf", "loss_aux_reg", "loss_distill"), 0.0)
+
+    def log(it: int, ap=None) -> None:
+        metrics.row(it, *final.values(), ap)
+
+    with SceneSteps([o.group for o in opts], cfg.batch_size, 4, scene) as steps:
+        for it in range(iters):
+            det, idf, loc, dis = (_scene_mean(col) for col in steps.step(it).T)
+            final = dict(zip(final, (det, idf, loc, dis)))
+            total = det + (idf + loc) + dis * cfg.lam  # as total_loss forms it
+            if not np.isfinite(total):
+                raise RuntimeError(
+                    f"{label} diverged: loss {total} at iteration {it}, seed {cfg.seed}")
+            for opt in opts:
+                opt.step()
+            if it % LOG_EVERY == 0:
+                log(it)
+            if cfg.eval_every and it and it % cfg.eval_every == 0:
+                log(it, evaluate_toy_ap(model, heldout_scenes(cfg)))
+    ap = evaluate_toy_ap(model, heldout_scenes(cfg))
+    log(iters, ap)
+    return final, ap
+
+
 def train_teacher(cfg: ExperimentConfig, out_dir: str, run_name: str = "teacher") -> RunResult:
     """Detection-only pretraining; saves `<out_dir>/teacher.ckpt` with the
     geometry fields embedded so distillation can validate compatibility."""
@@ -292,23 +319,13 @@ def train_teacher(cfg: ExperimentConfig, out_dir: str, run_name: str = "teacher"
         s = train_scene(cfg, it * b + j)
         det = det_loss(teacher.det_head_forward(teacher.backbone_forward(s.image)),
                        s.instances, teacher.cfg)
-        return det * (1.0 / b), (det.item(),)
+        return det * (1.0 / b), (det.item(), 0.0, 0.0, 0.0)
 
-    last = 0.0
-    with SceneSteps([group], b, 1, scene) as steps:
-        for it in range(cfg.teacher_iters):
-            last = _scene_mean(steps.step(it)[:, 0])
-            if not np.isfinite(last):
-                raise RuntimeError(
-                    f"teacher training diverged: loss {last} at iteration {it}, seed {cfg.seed}")
-            opt.step()
-            if it % LOG_EVERY == 0:
-                metrics.row(it, last, 0.0, 0.0, 0.0)
-    ap = evaluate_toy_ap(teacher, heldout_scenes(cfg))
-    metrics.row(cfg.teacher_iters, last, 0.0, 0.0, 0.0, ap)
+    final, ap = _train(cfg, metrics, teacher, [opt], cfg.teacher_iters, scene,
+                       "teacher training")
     path = os.path.join(out_dir, "teacher.ckpt")
     save_checkpoint(path, group_state(group) | _teacher_meta(cfg))
-    return RunResult(run_name, ap, {"loss_det": last}, path)
+    return RunResult(run_name, ap, final, path)
 
 
 # -- distillation ------------------------------------------------------------
@@ -465,19 +482,10 @@ def distill_student(cfg: ExperimentConfig, teacher_state: dict, out_dir: str,
     sys = load_system(cfg, teacher_state)
     if cfg.inherit:
         inherit_parameters(sys.student, sys.teacher)
-    opt_student = MomentumSGD(sys.groups["student"], cfg.lr_student, cfg.momentum,
-                              cfg.weight_decay)
-    opt_decoder = MomentumSGD(sys.groups["decoder"], cfg.lr_decoder, cfg.momentum,
-                              cfg.weight_decay)
-    opt_aux = MomentumSGD(sys.groups["aux"], cfg.lr_decoder, cfg.momentum,
-                          cfg.weight_decay)
+    opts = [MomentumSGD(sys.groups[name], lr, cfg.momentum, cfg.weight_decay) for name, lr in
+            zip(TRAINED_GROUPS, (cfg.lr_student, cfg.lr_decoder, cfg.lr_decoder))]
     stats = dataset_stats(cfg)
     cond_rng = np.random.default_rng((cfg.seed, 20))
-    final = {"loss_det": 0.0, "loss_aux_idf": 0.0, "loss_aux_reg": 0.0, "loss_distill": 0.0}
-
-    def log(it: int, ap=None) -> None:
-        metrics.row(it, *final.values(), ap)
-
     spec, b = cfg.scene_spec(), cfg.batch_size
 
     def scene(it: int, j: int, own: bool):
@@ -492,25 +500,8 @@ def distill_student(cfg: ExperimentConfig, teacher_state: dict, out_dir: str,
         root = total_loss(*(p * (1.0 / b) for p in parts), cfg.lam).total
         return root, tuple(p.item() for p in parts)
 
-    trained = [sys.groups[name] for name in TRAINED_GROUPS]
-    with SceneSteps(trained, b, 4, scene) as steps:
-        for it in range(cfg.student_iters):
-            det, idf, loc, dis = (_scene_mean(col) for col in steps.step(it).T)
-            final = {"loss_det": det, "loss_aux_idf": idf, "loss_aux_reg": loc,
-                     "loss_distill": dis}
-            total = det + (idf + loc) + dis * cfg.lam  # as total_loss forms it
-            if not np.isfinite(total):
-                raise RuntimeError(
-                    f"distillation diverged: loss {total} at iteration {it}, seed {cfg.seed}")
-            opt_student.step()
-            opt_decoder.step()
-            opt_aux.step()
-            if it % LOG_EVERY == 0:
-                log(it)
-            if cfg.eval_every and it and it % cfg.eval_every == 0:
-                log(it, evaluate_toy_ap(sys.student, heldout_scenes(cfg)))
-    ap = evaluate_toy_ap(sys.student, heldout_scenes(cfg))
-    log(cfg.student_iters, ap)
+    final, ap = _train(cfg, metrics, sys.student, opts, cfg.student_iters, scene,
+                       "distillation")
     path = os.path.join(out_dir, f"{run_name}.ckpt")
     save_checkpoint(path, system_state(sys))
     return RunResult(run_name, ap, final, path)

@@ -11,8 +11,7 @@ from condkd import cli, scenes
 from condkd.checkpoint import load_checkpoint
 from condkd.config import load_config
 from condkd.heatmap import quantize_mask
-from condkd.scenes import generate_dataset
-from condkd.train import decode_conditions, heldout_scenes, load_system
+from condkd.train import decode_conditions, heldout_scenes, load_system, train_scene
 
 from helpers import read_pgm
 
@@ -91,9 +90,14 @@ class TestGenData:
         assert "class 0" in (tmp_path / "stats.txt").read_text()
         previews = sorted(p.name for p in tmp_path.glob("scene*.ppm"))
         assert previews == ["scene0.ppm", "scene1.ppm", "scene2.ppm", "scene3.ppm"]
-        # the preview is the [H, W, 3] image itself, row-major RGB
+        # the rows and the preview are those of the scenes training reads; the
+        # preview is the [H, W, 3] image itself, row-major RGB
         cfg = load_config(cfg_file)
-        image = generate_dataset(cfg.scene_spec(), cfg.seed, 1)[0].image.data
+        first = train_scene(cfg, 0)
+        assert [l for l in lines[1:] if l.startswith("0,")] == [
+            f"0,{inst.category}," + ",".join(str(round(c * cfg.image_size)) for c in inst.corners())
+            for inst in first.instances]
+        image = first.image.data
         header = b"P6\n16 16\n255\n"
         blob = (tmp_path / "scene0.ppm").read_bytes()
         assert blob[:len(header)] == header

@@ -15,7 +15,7 @@ from condkd.evaluate import (
 )
 from condkd.instances import make_instance
 from condkd.pyramid import DetectorConfig, ToyDetector
-from condkd.scenes import SceneSpec, generate_dataset
+from condkd.scenes import SceneSpec, SceneStream
 from condkd.tensor import ParamGroup
 
 
@@ -134,7 +134,7 @@ class TestDecodePredictions:
 
     def test_end_to_end_ap_on_fresh_detector_is_zero(self):
         spec = SceneSpec(image_size=32, size_means=(10.0, 8.0, 12.0), size_stds=(2.0, 1.5, 2.0))
-        scenes = generate_dataset(spec, 2, 3)
+        scenes = SceneStream(spec, (2,), 3)
         cfg = DetectorConfig(image_size=32, num_classes=3, feat_dim=8, widths=(4, 6, 8, 8))
         det = ToyDetector(cfg, ParamGroup("teacher"), np.random.default_rng(3))
         det.head_out.weight.data[...] = 0.0

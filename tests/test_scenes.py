@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from condkd.scenes import (Scene, SceneSpec, SceneStream, _paint, class_colors,
-                           generate_dataset, generate_scene, scene_instances)
+from condkd.scenes import (Scene, SceneSpec, SceneStream, _paint, class_colors, generate_scene,
+                           scene_instances)
 
 
 class TestDeterminism:
@@ -29,11 +29,12 @@ class TestDeterminism:
             assert scene_instances(spec, (5, 1, i)) == generate_scene(spec, (5, 1, i)).instances
 
     def test_dataset_is_prefix_stable(self):
+        # scene i depends on (seed, i) alone, not on how many scenes are drawn
         spec = SceneSpec()
-        short = generate_dataset(spec, 11, 4)
-        long = generate_dataset(spec, 11, 7)
-        for a, b in zip(short, long):
-            np.testing.assert_array_equal(a.image.data, b.image.data)
+        short, long = SceneStream(spec, (11,), 4), SceneStream(spec, (11,), 7)
+        for i, a in enumerate(short):
+            np.testing.assert_array_equal(a.image.data, long[i].image.data)
+            np.testing.assert_array_equal(a.image.data, generate_scene(spec, (11, i)).image.data)
 
     def test_stream_generates_each_scene_when_read(self):
         spec = SceneSpec(image_size=16)
@@ -51,7 +52,7 @@ class TestDeterminism:
 class TestGeometry:
     def test_boxes_inside_image_and_pixel_aligned(self):
         spec = SceneSpec()
-        for scene in generate_dataset(spec, 3, 100):
+        for scene in SceneStream(spec, (3,), 100):
             for inst in scene.instances:
                 x1, y1, x2, y2 = inst.corners()
                 assert 0.0 <= x1 < x2 <= 1.0 and 0.0 <= y1 < y2 <= 1.0
@@ -131,8 +132,8 @@ class TestSizeStatistics:
     def test_monte_carlo_recovers_generator_parameters(self):
         spec = SceneSpec()
         sizes = {c: [] for c in range(spec.num_classes)}
-        for scene in generate_dataset(spec, 123, 1000):
-            for inst in scene.instances:
+        for i in range(1000):
+            for inst in scene_instances(spec, (123, i)):
                 sizes[inst.category].append((inst.w_px, inst.h_px))
         for c in range(spec.num_classes):
             arr = np.array(sizes[c], dtype=float)

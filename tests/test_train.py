@@ -390,33 +390,12 @@ class TestSceneParallel:
         split = [computed()]
         tr.distill_student(cfg, teacher, two)
         split.append(computed())
-        fast = "worker" if slow == "caller" else "caller"
-        for loop in split:
-            assert sum(loop.values()) == 3 * 8  # each scene once
-            assert loop[fast] > 3 * 4, loop  # the fast side computed more than half
+        for loop in split:  # each side its interleave share, however slow
+            assert loop == {"caller": 3 * 4, "worker": 3 * 4}, loop
         assert len(forked) == 2
         assert_no_child_process()
         for name in ("teacher.ckpt", "distill.ckpt", "metrics.csv"):
             assert read_bytes(os.path.join(one, name)) == read_bytes(os.path.join(two, name)), name
-
-    def test_worker_that_dies_past_an_even_split_is_reported(self, procs, tmp_path,
-                                                             monkeypatch):
-        procs(2)
-        parent, det_loss, calls = os.getpid(), tr.det_loss, []
-
-        def dying(*a, **k):
-            if os.getpid() == parent:
-                time.sleep(0.05)
-            else:
-                calls.append(None)
-                if len(calls) > 4:  # a fifth of eight scenes: more than an even share
-                    os._exit(3)
-            return det_loss(*a, **k)
-
-        monkeypatch.setattr(tr, "det_loss", dying)
-        with pytest.raises(tr.SceneWorkerError, match="exited during iteration 0"):
-            tr.train_teacher(mini_config(batch_size=8, teacher_iters=2), str(tmp_path))
-        assert_no_child_process()
 
     @pytest.mark.parametrize("slow", ["caller", "worker"])
     def test_a_stream_the_loop_never_sees_passes_every_scene_in_order(self, slow, procs):
@@ -450,7 +429,7 @@ class TestSceneParallel:
             if not own:
                 return None
             with open(log, "a") as f:
-                f.write(f"{it},{j}\n")
+                f.write(f"{it},{j},{os.getpid()}\n")
             loss = T.tsum(T.mul(weight, weight))
             return loss, (float(j),)
 
@@ -459,8 +438,10 @@ class TestSceneParallel:
                 assert steps.step(it)[:, 0].tolist() == list(range(2 * n))
         assert len(forked) == n - 1
         assert_no_child_process()
+        ranks = [os.getpid()] + forked  # the caller is rank 0, workers in fork order
         lines = log.read_text().splitlines()
-        assert sorted(lines) == sorted(f"{it},{j}" for it in range(20) for j in range(2 * n))
+        assert sorted(lines) == sorted(f"{it},{j},{ranks[j % n]}"
+                                       for it in range(20) for j in range(2 * n))
 
     def test_a_scene_graph_is_freed_before_the_next_is_built(self, procs):
         # two live graphs at once would raise a loop's peak memory
@@ -781,9 +762,13 @@ class TestAblationRunners:
         with open(results[-1].checkpoint, "rb") as fa, open(single.checkpoint, "rb") as fb:
             assert fa.read() == fb.read()
 
-    def test_eval_every_emits_intermediate_ap(self, quick, mini_teacher, tmp_path):
-        cfg = replace(quick, student_iters=4, eval_every=3)
-        tr.distill_student(cfg, mini_teacher, str(tmp_path), "ev")
+    @pytest.mark.parametrize("trainer", ["teacher", "distill"])
+    def test_eval_every_emits_intermediate_ap(self, trainer, quick, mini_teacher, tmp_path):
+        cfg = replace(quick, teacher_iters=4, student_iters=4, eval_every=3)
+        if trainer == "teacher":
+            tr.train_teacher(cfg, str(tmp_path), "ev")
+        else:
+            tr.distill_student(cfg, mini_teacher, str(tmp_path), "ev")
         rows = [l.split(",") for l in read_csv(str(tmp_path))[1:]]
         mid = [r for r in rows if r[0] == "ev" and r[1] == "3" and r[6]]
         assert len(mid) == 1
