@@ -57,21 +57,22 @@ class ExperimentConfig:
     noise_sigma: float = 0.05
 
     def __post_init__(self):
+        for key in ("depth", "batch_size", "heads", "num_classes", "stats_scenes", "eval_scenes"):
+            if not getattr(self, key) >= 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("jitter", "fake_ratio", "teacher_iters", "student_iters", "warmup_iters",
+                    "eval_every"):
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.feat_dim % self.heads:
             raise ValueError(f"heads {self.heads} must divide feat_dim {self.feat_dim}")
         if self.attention_variant not in ATTENTION_VARIANTS:
             raise ValueError(
                 f"attention_variant {self.attention_variant!r} not in {ATTENTION_VARIANTS}")
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        if not 0 <= self.jitter:
-            raise ValueError("jitter must be >= 0")
-        if self.fake_ratio < 0:
-            raise ValueError("fake_ratio must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if min(self.teacher_iters, self.student_iters, self.warmup_iters) < 0:
-            raise ValueError("iteration counts must be >= 0")
+        # sine codes come in sin/cos pairs, and the pyramid splits pos_dim between x and y
+        for key, step in (("pos_dim", 4), ("enc_pos_dim", 2), ("enc_scale_dim", 2)):
+            if getattr(self, key) % step:
+                raise ValueError(f"{key} must be a multiple of {step}, got {getattr(self, key)}")
 
     def detector_config(self, widths: tuple[int, ...]) -> DetectorConfig:
         return DetectorConfig(self.image_size, self.num_classes, self.feat_dim, tuple(widths))

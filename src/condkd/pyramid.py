@@ -31,22 +31,18 @@ EXP_CAP = 10.0
 
 
 class Conv2d:
-    """3x3 (or 1x1) convolution of one channel-last [H, W, C] map.
+    """3x3 convolution of one channel-last [H, W, C] map.
 
     One `conv2d` node: im2col followed by the arithmetic of `linear`,
     differentiated as that composition.
     """
 
     def __init__(self, in_ch: int, out_ch: int, group: ParamGroup, rng: np.random.Generator,
-                 name: str, kernel: int = 3, stride: int = 1):
-        if kernel not in (1, 3):
-            raise ValueError("kernel must be 1 or 3")
+                 name: str, stride: int = 1):
         self.in_ch = in_ch
         self.out_ch = out_ch
-        self.kernel = kernel
         self.stride = stride
-        fan_in = kernel * kernel * in_ch
-        self.weight = group.add(f"{name}.w", kaiming_uniform(rng, out_ch, fan_in))
+        self.weight = group.add(f"{name}.w", kaiming_uniform(rng, out_ch, 3 * 3 * in_ch))
         self.bias = group.add(f"{name}.b", np.zeros(out_ch))
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -55,7 +51,7 @@ class Conv2d:
             raise ShapeError(f"conv expects {self.in_ch} channels, got input shape {x.shape}")
         if h % self.stride or w % self.stride:
             raise ValueError(f"spatial size {h}x{w} not divisible by stride {self.stride}")
-        return T.conv2d(x, self.weight, self.bias, self.kernel, self.stride)
+        return T.conv2d(x, self.weight, self.bias, 3, self.stride)
 
 
 @dataclass(frozen=True)

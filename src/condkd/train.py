@@ -4,9 +4,9 @@ ablation sweeps, all fully deterministic from the experiment config.
 Every run draws its scenes from a per-seed stream (seed, 1, i) and evaluates
 on a held-out stream (seed, 2, i), so runs that share a seed consume
 bit-identical data regardless of variant, and no training scene ever leaks
-into evaluation. Teacher and student train through one loop (`_train`),
-which splits each iteration's scenes across forked processes by a fixed
-interleave (`SceneSteps`), bit-identically at any count.
+into evaluation. Teacher and student train through one loop (`_train`); its
+forked processes each compute the scenes of their rank (`SceneSteps`), and
+distillation's condition stream catches up on the rest, bit-identically.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .scenes import Scene, SceneStream, generate_scene, instance_count, scene_in
 from .tensor import ParamGroup, Tensor
 
 METRICS_HEADER = "run,iter,loss_det,loss_aux_idf,loss_aux_reg,loss_distill,toy_ap"
+LOSS_COLUMNS = ("loss_det", "loss_aux_idf", "loss_aux_reg", "loss_distill")
 LOG_EVERY = 100
 
 
@@ -47,22 +48,23 @@ class DuplicateRunError(ValueError):
 
 class MetricsWriter:
     """Append-only CSV with the pinned header, shared by the runs of one
-    directory; each writer appends the rows of one run, whose name must be
-    new to the file."""
+    directory, and only by them; each writer appends the rows of one run,
+    whose name must be new to the file."""
 
     def __init__(self, out_dir: str, run: str):
         os.makedirs(out_dir, exist_ok=True)
-        self.path = os.path.join(out_dir, "metrics.csv")
-        self.run = run
+        self.path, self.run = os.path.join(out_dir, "metrics.csv"), run
         if not os.path.exists(self.path):
             with open(self.path, "w") as f:
                 f.write(METRICS_HEADER + "\n")
             return
         with open(self.path) as f:
-            if any(line.split(",", 1)[0] == run for line in f.read().splitlines()[1:]):
-                raise DuplicateRunError(
-                    f"{self.path} already has rows for run {run!r}: "
-                    "pick another --run-name or --out-dir")
+            head, *rows = f.read().splitlines() or [""]
+        if head != METRICS_HEADER:
+            raise ValueError(f"{self.path}: line 1 is {head!r}, not the metrics header")
+        if any(line.split(",", 1)[0] == run for line in rows):
+            raise DuplicateRunError(f"{self.path} already has rows for run {run!r}: "
+                                    "pick another --run-name or --out-dir")
 
     def row(self, it: int, det, idf, reg, dis, ap=None) -> None:
         cells = [self.run, str(it), _fmt(det), _fmt(idf), _fmt(reg), _fmt(dis), _fmt(ap)]
@@ -115,15 +117,9 @@ def _process_count(batch_size: int) -> int:
 class SceneSteps:
     """The training step of one loop, its B scenes split across P processes
     by a fixed interleave: scene j goes to the process of rank j mod P. The
-    calling process is rank 0.
-
-    Every process walks scenes j = 0..B-1 in order, calling
-    ``scene(it, j, own)``. It computes its own scenes (own true): the
-    callback returns the scalar to backpropagate and the scene's loss
-    values. Another rank's scene it passes with own false: the callback
-    makes only the scene's draws and returns None. So every process's
-    streams pass every scene in order, and a scene's draws do not depend on
-    which process computes it.
+    calling process is rank 0. Each process calls ``scene(it, j)`` for its
+    rank's scenes only, in increasing (it, j) order; the callback returns the
+    scalar to backpropagate and the scene's LOSS_COLUMNS values.
 
     Each computed scene is backpropagated alone into the groups' zeroed
     ``grad`` buffers, private to the process, then copied to that scene's
@@ -142,8 +138,8 @@ class SceneSteps:
     reaps every worker.
     """
 
-    def __init__(self, groups: list[ParamGroup], batch_size: int, width: int, scene):
-        self.groups, self.batch, self.width, self.scene = groups, batch_size, width, scene
+    def __init__(self, groups: list[ParamGroup], batch_size: int, scene):
+        self.groups, self.batch, self.scene = groups, batch_size, scene
         self.workers: list[tuple[int, int, int]] = []  # pid, "go" write end, "done" read end
         self.grads = None  # [B x total parameter size] slots, once started
 
@@ -164,12 +160,12 @@ class SceneSteps:
     def _start(self) -> None:
         b, bounds = self.batch, np.cumsum([0] + [g.data.size for g in self.groups])
         self.spans = [(g, int(lo), int(hi)) for g, lo, hi in zip(self.groups, bounds, bounds[1:])]
-        n = int(bounds[-1])
-        shared = np.frombuffer(mmap.mmap(-1, 8 * ((1 + b) * n + b * self.width)), np.float64)
+        n, w = int(bounds[-1]), len(LOSS_COLUMNS)
+        shared = np.frombuffer(mmap.mmap(-1, 8 * ((1 + b) * n + b * w)), np.float64)
         for g, lo, hi in self.spans:
             g.bind(shared[lo:hi])
         self.grads = shared[n:(1 + b) * n].reshape(b, n)
-        self.losses = shared[(1 + b) * n:].reshape(b, self.width)
+        self.losses = shared[(1 + b) * n:].reshape(b, w)
         self.rank, self.procs = 0, _process_count(b)
         for rank in range(1, self.procs):
             go_r, go_w = os.pipe()
@@ -188,7 +184,7 @@ class SceneSteps:
             self.workers.append((pid, go_w, done_r))
 
     def _serve(self, go: int, done: int, parent_ends) -> None:
-        """A worker's life: one walk over the scenes per iteration number
+        """A worker's life: one walk over its scenes per iteration number
         read from `go`, until EOF. Never returns."""
         try:
             for fd in parent_ends + tuple(fd for _, w, r in self.workers for fd in (w, r)):
@@ -205,14 +201,12 @@ class SceneSteps:
             os._exit(0)
 
     def _run(self, it: int) -> None:
-        for j in range(self.batch):
-            self._compute(it, j, j % self.procs == self.rank)
+        for j in range(self.rank, self.batch, self.procs):
+            self._compute(it, j)
 
-    def _compute(self, it: int, j: int, own: bool) -> None:
+    def _compute(self, it: int, j: int) -> None:
         """Scene j; its graph is freed on return, before the next is built."""
-        if (out := self.scene(it, j, own)) is None:
-            return
-        root, values = out
+        root, values = self.scene(it, j)
         for g in self.groups:
             g.zero_grad()
         T.backward(root)
@@ -223,7 +217,7 @@ class SceneSteps:
     def step(self, it: int) -> np.ndarray:
         """Iteration `it` on every process: leaves the scene-order sum of the
         scenes' gradients in each group's `grad` and returns the per-scene
-        loss values, [B x width]."""
+        loss values, [B x 4] in LOSS_COLUMNS order."""
         if self.grads is None:
             self._start()
         for _, go, _ in self.workers:
@@ -280,12 +274,12 @@ def _train(cfg: ExperimentConfig, metrics: MetricsWriter, model: ToyDetector,
     (see SceneSteps), a non-finite check and one step per optimizer; a row
     every LOG_EVERY iterations, one with the held-out AP of `model` every
     `cfg.eval_every`, and a final one. Returns the last means and that AP."""
-    final = dict.fromkeys(("loss_det", "loss_aux_idf", "loss_aux_reg", "loss_distill"), 0.0)
+    final = dict.fromkeys(LOSS_COLUMNS, 0.0)
 
     def log(it: int, ap=None) -> None:
         metrics.row(it, *final.values(), ap)
 
-    with SceneSteps([o.group for o in opts], cfg.batch_size, 4, scene) as steps:
+    with SceneSteps([o.group for o in opts], cfg.batch_size, scene) as steps:
         for it in range(iters):
             det, idf, loc, dis = (_scene_mean(col) for col in steps.step(it).T)
             final = dict(zip(final, (det, idf, loc, dis)))
@@ -313,9 +307,7 @@ def train_teacher(cfg: ExperimentConfig, out_dir: str, run_name: str = "teacher"
     opt = MomentumSGD(group, cfg.lr_teacher, cfg.momentum, cfg.weight_decay)
     b = cfg.batch_size
 
-    def scene(it: int, j: int, own: bool):
-        if not own:
-            return None
+    def scene(it: int, j: int):
         s = train_scene(cfg, it * b + j)
         det = det_loss(teacher.det_head_forward(teacher.backbone_forward(s.image)),
                        s.instances, teacher.cfg)
@@ -486,14 +478,15 @@ def distill_student(cfg: ExperimentConfig, teacher_state: dict, out_dir: str,
             zip(TRAINED_GROUPS, (cfg.lr_student, cfg.lr_decoder, cfg.lr_decoder))]
     stats = dataset_stats(cfg)
     cond_rng = np.random.default_rng((cfg.seed, 20))
-    spec, b = cfg.scene_spec(), cfg.batch_size
+    spec, b, passed = cfg.scene_spec(), cfg.batch_size, 0
 
-    def scene(it: int, j: int, own: bool):
+    def scene(it: int, j: int):
+        nonlocal passed  # the first scene cond_rng has not passed
         i = it * b + j
-        if not own:  # the draws scene_losses makes from cond_rng, and only those
-            skip_conditions(instance_count(spec, np.random.default_rng((cfg.seed, 1, i))),
+        for k in range(passed, i):  # other ranks' scenes: only their cond_rng draws
+            skip_conditions(instance_count(spec, np.random.default_rng((cfg.seed, 1, k))),
                             stats, cfg.fake_ratio, sys.espec, cond_rng)
-            return None
+        passed = i + 1
         active = cfg.lam != 0.0 and it >= cfg.warmup_iters
         parts = scene_losses(cfg, sys, train_scene(cfg, i), stats, cond_rng, active)
         # each part scaled by 1/B: the adjoint seeds of the batch mean

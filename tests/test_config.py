@@ -28,6 +28,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="fake_ratio"):
             ExperimentConfig(fake_ratio=-1)
 
+    @pytest.mark.parametrize("key, value", [
+        ("heads", 0), ("heads", -4), ("num_classes", 0), ("stats_scenes", 0), ("eval_scenes", 0),
+        ("batch_size", 0), ("jitter", float("nan")), ("teacher_iters", -1), ("eval_every", -1),
+        ("pos_dim", 6), ("pos_dim", 7), ("enc_pos_dim", 5), ("enc_scale_dim", 3)])
+    def test_out_of_range_values_fail_at_construction_naming_their_key(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            ExperimentConfig(**{key: value})
+        with pytest.raises(ValueError, match=f"^{key} must be"):  # as a file gives it
+            build_config({key: str(value)})
+
     @pytest.mark.parametrize("strides", [(4, 8), (16, 8), (8,), (8, 16, 32)])
     def test_strides_other_than_the_wired_pair_rejected(self, strides):
         # the pyramid levels are fixed at pyramid.STRIDES, so no strides value
