@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 from dataclasses import dataclass
 
 from .instances import EncoderSpec
@@ -57,13 +58,19 @@ class ExperimentConfig:
     noise_sigma: float = 0.05
 
     def __post_init__(self):
-        for key in ("depth", "batch_size", "heads", "num_classes", "stats_scenes", "eval_scenes"):
+        for key in ("depth", "batch_size", "heads", "num_classes", "stats_scenes", "eval_scenes",
+                    "feat_dim", "max_log2"):
             if not getattr(self, key) >= 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         for key in ("jitter", "fake_ratio", "teacher_iters", "student_iters", "warmup_iters",
                     "eval_every"):
             if not getattr(self, key) >= 0:
                 raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
+        for key in ("teacher_widths", "student_widths"):  # one width per backbone stage
+            if len(getattr(self, key)) != 4 or not all(w >= 1 for w in getattr(self, key)):
+                raise ValueError(f"{key} must be 4 widths >= 1, got {getattr(self, key)}")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam}")
         if self.feat_dim % self.heads:
             raise ValueError(f"heads {self.heads} must divide feat_dim {self.feat_dim}")
         if self.attention_variant not in ATTENTION_VARIANTS:

@@ -88,15 +88,6 @@ def heldout_scenes(cfg: ExperimentConfig) -> SceneStream:
     return SceneStream(cfg.scene_spec(), (cfg.seed, 2), cfg.eval_scenes)
 
 
-def _scene_mean(values) -> float:
-    """Mean of per-scene values: a left-to-right sum in scene order, then a
-    product with 1/B."""
-    acc = float(values[0])
-    for v in values[1:]:
-        acc += float(v)
-    return acc * (1.0 / len(values))
-
-
 # -- scene-parallel steps ------------------------------------------------------
 
 
@@ -119,13 +110,14 @@ class SceneSteps:
     by a fixed interleave: scene j goes to the process of rank j mod P. The
     calling process is rank 0. Each process calls ``scene(it, j)`` for its
     rank's scenes only, in increasing (it, j) order; the callback returns the
-    scalar to backpropagate and the scene's LOSS_COLUMNS values.
+    scene's unscaled objective and its LOSS_COLUMNS values.
 
-    Each computed scene is backpropagated alone into the groups' zeroed
-    ``grad`` buffers, private to the process, then copied to that scene's
-    gradient slot of one shared mapping. The calling process adds the slots
-    left to right in scene order into the groups' ``grad``, so the sum
-    depends neither on the process count nor on who computed which scene.
+    Each scene's objective times 1/B is backpropagated alone into the
+    groups' zeroed ``grad`` buffers, private to the process, then copied to
+    the scene's gradient slot of one shared mapping. The calling process adds
+    the slots, and the loss rows (then times 1/B), left to right in scene
+    order, so the means depend neither on the process count nor on who
+    computed which scene.
     The groups' ``data`` live in the same mapping while the loop runs (an
     in-place optimizer step reaches every process before its next
     iteration), and move back to private memory, room trimmed, at its end.
@@ -209,15 +201,15 @@ class SceneSteps:
         root, values = self.scene(it, j)
         for g in self.groups:
             g.zero_grad()
-        T.backward(root)
+        T.backward(root * (1.0 / self.batch))
         for g, lo, hi in self.spans:
             self.grads[j, lo:hi] = g.grad
         self.losses[j] = values
 
-    def step(self, it: int) -> np.ndarray:
-        """Iteration `it` on every process: leaves the scene-order sum of the
-        scenes' gradients in each group's `grad` and returns the per-scene
-        loss values, [B x 4] in LOSS_COLUMNS order."""
+    def step(self, it: int) -> list[float]:
+        """Iteration `it` on every process: leaves the batch mean of the
+        scenes' gradients in each group's `grad` and returns the batch means
+        of their loss values, in LOSS_COLUMNS order."""
         if self.grads is None:
             self._start()
         for _, go, _ in self.workers:
@@ -236,7 +228,10 @@ class SceneSteps:
             g.grad[...] = self.grads[0, lo:hi]
             for slot in self.grads[1:]:
                 g.grad += slot[lo:hi]
-        return self.losses.copy()
+        means = self.losses[0].copy()
+        for row in self.losses[1:]:
+            means += row
+        return (means * (1.0 / self.batch)).tolist()
 
 
 # -- teacher -----------------------------------------------------------------
@@ -269,11 +264,11 @@ def strip_meta(state: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 
 def _train(cfg: ExperimentConfig, metrics: MetricsWriter, model: ToyDetector,
            opts: list[MomentumSGD], iters: int, scene, label: str) -> tuple[dict, float]:
-    """The loop both trainers run: `iters` steps over the optimizers'
-    groups, each the scene mean of the four loss values `scene` returns
-    (see SceneSteps), a non-finite check and one step per optimizer; a row
-    every LOG_EVERY iterations, one with the held-out AP of `model` every
-    `cfg.eval_every`, and a final one. Returns the last means and that AP."""
+    """The loop both trainers run: `iters` steps of the optimizers on the
+    batch mean of the objective `scene` returns (see SceneSteps), each after
+    a check that the four mean loss values are finite; a row every LOG_EVERY
+    iterations, one with the held-out AP of `model` every `cfg.eval_every`,
+    and a final one. Returns the last means and that AP."""
     final = dict.fromkeys(LOSS_COLUMNS, 0.0)
 
     def log(it: int, ap=None) -> None:
@@ -281,12 +276,11 @@ def _train(cfg: ExperimentConfig, metrics: MetricsWriter, model: ToyDetector,
 
     with SceneSteps([o.group for o in opts], cfg.batch_size, scene) as steps:
         for it in range(iters):
-            det, idf, loc, dis = (_scene_mean(col) for col in steps.step(it).T)
-            final = dict(zip(final, (det, idf, loc, dis)))
-            total = det + (idf + loc) + dis * cfg.lam  # as total_loss forms it
-            if not np.isfinite(total):
-                raise RuntimeError(
-                    f"{label} diverged: loss {total} at iteration {it}, seed {cfg.seed}")
+            final = dict(zip(LOSS_COLUMNS, steps.step(it)))
+            for column, value in final.items():
+                if not np.isfinite(value):
+                    raise RuntimeError(f"{label} diverged: {column} {value} at iteration {it}, "
+                                       f"seed {cfg.seed}")
             for opt in opts:
                 opt.step()
             if it % LOG_EVERY == 0:
@@ -305,13 +299,12 @@ def train_teacher(cfg: ExperimentConfig, out_dir: str, run_name: str = "teacher"
     group = ParamGroup("teacher")
     teacher = ToyDetector(cfg.teacher_config(), group, np.random.default_rng((cfg.seed, 10)))
     opt = MomentumSGD(group, cfg.lr_teacher, cfg.momentum, cfg.weight_decay)
-    b = cfg.batch_size
 
     def scene(it: int, j: int):
-        s = train_scene(cfg, it * b + j)
+        s = train_scene(cfg, it * cfg.batch_size + j)
         det = det_loss(teacher.det_head_forward(teacher.backbone_forward(s.image)),
                        s.instances, teacher.cfg)
-        return det * (1.0 / b), (det.item(), 0.0, 0.0, 0.0)
+        return det, (det.item(), 0.0, 0.0, 0.0)
 
     final, ap = _train(cfg, metrics, teacher, [opt], cfg.teacher_iters, scene,
                        "teacher training")
@@ -489,9 +482,7 @@ def distill_student(cfg: ExperimentConfig, teacher_state: dict, out_dir: str,
         passed = i + 1
         active = cfg.lam != 0.0 and it >= cfg.warmup_iters
         parts = scene_losses(cfg, sys, train_scene(cfg, i), stats, cond_rng, active)
-        # each part scaled by 1/B: the adjoint seeds of the batch mean
-        root = total_loss(*(p * (1.0 / b) for p in parts), cfg.lam).total
-        return root, tuple(p.item() for p in parts)
+        return total_loss(*parts, cfg.lam).total, tuple(p.item() for p in parts)
 
     final, ap = _train(cfg, metrics, sys.student, opts, cfg.student_iters, scene,
                        "distillation")

@@ -31,12 +31,16 @@ class TestValidation:
     @pytest.mark.parametrize("key, value", [
         ("heads", 0), ("heads", -4), ("num_classes", 0), ("stats_scenes", 0), ("eval_scenes", 0),
         ("batch_size", 0), ("jitter", float("nan")), ("teacher_iters", -1), ("eval_every", -1),
-        ("pos_dim", 6), ("pos_dim", 7), ("enc_pos_dim", 5), ("enc_scale_dim", 3)])
+        ("pos_dim", 6), ("pos_dim", 7), ("enc_pos_dim", 5), ("enc_scale_dim", 3),
+        ("feat_dim", 0), ("max_log2", 0), ("teacher_widths", (16, 32, 48)),
+        ("teacher_widths", ()), ("student_widths", (8, 16, 24, 24, 24)),
+        ("student_widths", (8, 16, 0, 24)), ("lam", float("nan")), ("lam", float("inf"))])
     def test_out_of_range_values_fail_at_construction_naming_their_key(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be"):
             ExperimentConfig(**{key: value})
+        text = " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
         with pytest.raises(ValueError, match=f"^{key} must be"):  # as a file gives it
-            build_config({key: str(value)})
+            build_config({key: text})
 
     @pytest.mark.parametrize("strides", [(4, 8), (16, 8), (8,), (8, 16, 32)])
     def test_strides_other_than_the_wired_pair_rejected(self, strides):

@@ -19,7 +19,6 @@ from condkd.checkpoint import CheckpointError, group_state, load_checkpoint
 from condkd.config import ExperimentConfig
 from condkd.decoder import Knowledge
 from condkd.instances import build_conditions, encode_set, skip_conditions
-from condkd.losses import total_loss
 from condkd.pyramid import ToyDetector, assign_cells, flatten_pyramid, inherit_parameters
 from condkd.scenes import instance_count, scene_instances
 from condkd.tensor import ParamGroup
@@ -282,6 +281,40 @@ class TestSceneParallel:
         assert len(forked) == 1
         assert_no_child_process()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("loop, column", [("teacher", "loss_det"),
+                                              ("distill", "loss_aux_idf")])
+    def test_a_divergence_names_its_column(self, loop, column, n, procs, mini_teacher, tmp_path,
+                                           monkeypatch):
+        # at batch 2, scene 3 is iteration 1's second: at 2 processes the worker's
+        forked = procs(n)
+        current, train_scene, det_loss, aux_loss = [None], tr.train_scene, tr.det_loss, tr.aux_loss
+
+        def tracked_scene(cfg, i):
+            current[0] = i
+            return train_scene(cfg, i)
+
+        def nan_det(*a, **k):
+            det = det_loss(*a, **k)
+            return det * float("nan") if current[0] == 3 else det
+
+        def inf_idf(*a, **k):
+            idf, loc = aux_loss(*a, **k)
+            return (idf * float("inf") if current[0] == 3 else idf), loc
+
+        monkeypatch.setattr(tr, "train_scene", tracked_scene)
+        cfg = mini_config(teacher_iters=3, student_iters=3, seed=5)
+        with pytest.raises(RuntimeError, match=f"diverged: {column} .* at iteration 1, seed 5$"):
+            if loop == "teacher":
+                monkeypatch.setattr(tr, "det_loss", nan_det)
+                tr.train_teacher(cfg, str(tmp_path))
+            else:
+                monkeypatch.setattr(tr, "aux_loss", inf_idf)
+                tr.distill_student(cfg, mini_teacher, str(tmp_path))
+        assert len(forked) == n - 1
+        assert_no_child_process()
+
     @pytest.mark.parametrize("loop", ["teacher", "distill"])
     @pytest.mark.parametrize("where", ["worker", "parent"])
     def test_exception_in_a_scene_is_raised_and_leaves_no_process(
@@ -361,7 +394,7 @@ class TestSceneParallel:
         assert_no_child_process()
         assert_views()
         assert not any(np.shares_memory(g.data, shared) for g in groups)
-        np.testing.assert_allclose(weight.grad, 4.0 * weight.data, rtol=1e-15)
+        np.testing.assert_allclose(weight.grad, 2.0 * weight.data, rtol=1e-15)  # the batch mean
         weight.data[0, 0] = 5.0
         assert groups[0].data[0] == 5.0
 
@@ -421,11 +454,19 @@ class TestSceneParallel:
             with open(log, "a") as f:
                 f.write(f"{it},{j},{os.getpid()}\n")
             loss = T.tsum(T.mul(weight, weight))
-            return loss, (float(j), 0.0, 0.0, 0.0)
+            return loss, (float(j), 1.0 / (j + 1), 0.0, 0.0)
 
+        def scene_order_mean(values):
+            acc = values[0]
+            for v in values[1:]:
+                acc += v
+            return acc * (1.0 / len(values))
+
+        want = [scene_order_mean([float(j) for j in range(2 * n)]),
+                scene_order_mean([1.0 / (j + 1) for j in range(2 * n)]), 0.0, 0.0]
         with tr.SceneSteps([group], 2 * n, scene) as steps:
             for it in range(20):
-                assert steps.step(it)[:, 0].tolist() == list(range(2 * n))
+                assert steps.step(it) == want
         assert len(forked) == n - 1
         assert_no_child_process()
         ranks = [os.getpid()] + forked  # the caller is rank 0, workers in fork order
@@ -478,7 +519,7 @@ class TestSceneParallel:
             steps.step(0)
         assert_no_child_process()
         assert_trimmed([group])
-        np.testing.assert_array_equal(weight.grad, 4.0 * weight.data)
+        np.testing.assert_array_equal(weight.grad, 2.0 * weight.data)  # the batch mean
 
     @pytest.mark.parametrize("prelude, pin, forks", [
         ("import numpy", False, False), ("", False, True), ("import numpy", True, True)],
@@ -637,17 +678,23 @@ def graph_nodes(loss):
 
 
 class TestGraphSize:
-    def test_desk_scene_graph_has_the_same_size_at_every_head_count(self):
-        counts = []
+    def test_desk_scene_graph_has_the_same_size_at_every_head_count(self, tmp_path, monkeypatch):
+        # the roots SceneSteps backpropagates in one desk distillation iteration
+        monkeypatch.setattr(tr, "_process_count", lambda b: 1)
+        backward, counts = T.backward, {}
+
+        def counting_backward(root):
+            counts[heads].append(graph_nodes(root))
+            backward(root)
+
+        cfg = ExperimentConfig(student_iters=1, warmup_iters=0, eval_scenes=1, stats_scenes=16)
+        teacher = tr.train_teacher(replace(cfg, teacher_iters=0), str(tmp_path))
+        monkeypatch.setattr(T, "backward", counting_backward)
         for heads in (1, 4, 8):
-            cfg = ExperimentConfig(heads=heads)
-            sys_ = tr.build_system(cfg)
-            parts = tr.scene_losses(cfg, sys_, tr.train_scene(cfg, 0), tr.dataset_stats(cfg),
-                                    np.random.default_rng(0), distill_active=True)
-            # the root distill_student backpropagates per scene
-            root = total_loss(*(p * (1.0 / cfg.batch_size) for p in parts), cfg.lam).total
-            counts.append(graph_nodes(root))
-        assert counts == [88] * 3, counts
+            counts[heads] = []
+            tr.distill_student(replace(cfg, heads=heads), load_checkpoint(teacher.checkpoint),
+                               str(tmp_path), run_name=f"heads-{heads}")
+        assert counts == {heads: [85] * cfg.batch_size for heads in (1, 4, 8)}, counts
 
 
 class TestSubstituteMasks:
