@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .instances import EncoderSpec
-from .pyramid import DetectorConfig
+from .pyramid import STRIDES, DetectorConfig
 from .scenes import SceneSpec
 
 logger = logging.getLogger("condkd")
@@ -59,7 +59,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for key in ("depth", "batch_size", "heads", "num_classes", "stats_scenes", "eval_scenes",
-                    "feat_dim", "max_log2"):
+                    "feat_dim", "max_log2", "image_size"):
             if not getattr(self, key) >= 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         for key in ("jitter", "fake_ratio", "teacher_iters", "student_iters", "warmup_iters",
@@ -71,6 +71,14 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be 4 widths >= 1, got {getattr(self, key)}")
         if not math.isfinite(self.lam):
             raise ValueError(f"lam must be finite, got {self.lam}")
+        for key in ("lr_teacher", "lr_student", "lr_decoder", "weight_decay", "noise_sigma"):
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        stride = max(STRIDES)  # the coarsest pyramid level tiles the image
+        if self.image_size % stride:
+            raise ValueError(f"image_size must be a multiple of {stride}, got {self.image_size}")
         if self.feat_dim % self.heads:
             raise ValueError(f"heads {self.heads} must divide feat_dim {self.feat_dim}")
         if self.attention_variant not in ATTENTION_VARIANTS:

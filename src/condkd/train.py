@@ -5,8 +5,9 @@ Every run draws its scenes from a per-seed stream (seed, 1, i) and evaluates
 on a held-out stream (seed, 2, i), so runs that share a seed consume
 bit-identical data regardless of variant, and no training scene ever leaks
 into evaluation. Teacher and student train through one loop (`_train`); its
-forked processes each compute the scenes of their rank (`SceneSteps`), and
-distillation's condition stream catches up on the rest, bit-identically.
+forked processes each compute one contiguous block of every batch
+(`SceneSteps`), and distillation's condition stream catches up on the
+other blocks' draws, bit-identically.
 """
 
 from __future__ import annotations
@@ -107,20 +108,25 @@ def _process_count(batch_size: int) -> int:
 
 class SceneSteps:
     """The training step of one loop, its B scenes split across P processes
-    by a fixed interleave: scene j goes to the process of rank j mod P. The
-    calling process is rank 0. Each process calls ``scene(it, j)`` for its
-    rank's scenes only, in increasing (it, j) order; the callback returns the
-    scene's unscaled objective and its LOSS_COLUMNS values.
+    in contiguous blocks: the process of rank r computes the scenes
+    floor(rB/P) <= j < floor((r+1)B/P). The calling process is rank 0, so
+    its block comes first and is the smallest. Each process calls
+    ``scene(it, j)`` for its block's scenes only, in increasing (it, j)
+    order; the callback returns the scene's unscaled objective and its
+    LOSS_COLUMNS values.
 
     Each scene's objective times 1/B is backpropagated alone into the
-    groups' zeroed ``grad`` buffers, private to the process, then copied to
-    the scene's gradient slot of one shared mapping. The calling process adds
-    the slots, and the loss rows (then times 1/B), left to right in scene
-    order, so the means depend neither on the process count nor on who
-    computed which scene.
+    groups' zeroed ``grad`` buffers, private to the process. The caller sums
+    its own block's gradients into one private array as it goes; a worker
+    copies each of its scenes' gradients to that scene's slot of one shared
+    mapping, which thus holds B - floor(B/P) slots, none at one process.
+    ``step`` then adds the slots to the caller's sum, and the loss rows
+    (then times 1/B), left to right in scene order, so the means depend
+    neither on the process count nor on who computed which scene.
     The groups' ``data`` live in the same mapping while the loop runs (an
     in-place optimizer step reaches every process before its next
-    iteration), and move back to private memory, room trimmed, at its end.
+    iteration); leaving the ``with`` block moves them back to private
+    memory, room trimmed, and drops every view of the mapping.
 
     The workers are forked (POSIX only) at the first ``step``, so a loop of
     zero iterations forks nothing. A worker leaves only through
@@ -133,7 +139,7 @@ class SceneSteps:
     def __init__(self, groups: list[ParamGroup], batch_size: int, scene):
         self.groups, self.batch, self.scene = groups, batch_size, scene
         self.workers: list[tuple[int, int, int]] = []  # pid, "go" write end, "done" read end
-        self.grads = None  # [B x total parameter size] slots, once started
+        self.slots = None  # [B - own x total parameter size] shared slots, once started
 
     def __enter__(self) -> "SceneSteps":
         return self
@@ -145,21 +151,25 @@ class SceneSteps:
             os.close(done)
         for pid, _, _ in workers:
             os.waitpid(pid, 0)
-        if self.grads is not None:
+        if self.slots is not None:
             for g in self.groups:
                 g.trim()
+            self.slots = self.losses = self.acc = None
 
     def _start(self) -> None:
         b, bounds = self.batch, np.cumsum([0] + [g.data.size for g in self.groups])
         self.spans = [(g, int(lo), int(hi)) for g, lo, hi in zip(self.groups, bounds, bounds[1:])]
-        n, w = int(bounds[-1]), len(LOSS_COLUMNS)
-        shared = np.frombuffer(mmap.mmap(-1, 8 * ((1 + b) * n + b * w)), np.float64)
+        procs = _process_count(b)
+        self.own = b // procs
+        self.block = range(self.own)  # the caller's; a worker's is set at its fork
+        n, w, k = int(bounds[-1]), len(LOSS_COLUMNS), b - self.own
+        shared = np.frombuffer(mmap.mmap(-1, 8 * ((1 + k) * n + b * w)), np.float64)
         for g, lo, hi in self.spans:
             g.bind(shared[lo:hi])
-        self.grads = shared[n:(1 + b) * n].reshape(b, n)
-        self.losses = shared[(1 + b) * n:].reshape(b, w)
-        self.rank, self.procs = 0, _process_count(b)
-        for rank in range(1, self.procs):
+        self.slots = shared[n:(1 + k) * n].reshape(k, n)  # scene j's is slot j - own
+        self.losses = shared[(1 + k) * n:].reshape(b, w)
+        self.acc = np.empty(n)  # the caller's block sum, private
+        for rank in range(1, procs):
             go_r, go_w = os.pipe()
             done_r, done_w = os.pipe()
             try:
@@ -169,7 +179,7 @@ class SceneSteps:
                     os.close(fd)
                 raise
             if pid == 0:
-                self.rank = rank
+                self.block = range(rank * b // procs, (rank + 1) * b // procs)
                 self._serve(go_r, done_w, (go_w, done_r))
             os.close(go_r)
             os.close(done_w)
@@ -193,7 +203,7 @@ class SceneSteps:
             os._exit(0)
 
     def _run(self, it: int) -> None:
-        for j in range(self.rank, self.batch, self.procs):
+        for j in self.block:
             self._compute(it, j)
 
     def _compute(self, it: int, j: int) -> None:
@@ -202,15 +212,19 @@ class SceneSteps:
         for g in self.groups:
             g.zero_grad()
         T.backward(root * (1.0 / self.batch))
+        out = self.acc if j < self.own else self.slots[j - self.own]
         for g, lo, hi in self.spans:
-            self.grads[j, lo:hi] = g.grad
+            if 0 < j < self.own:  # the caller's later scenes add to its first
+                out[lo:hi] += g.grad
+            else:
+                out[lo:hi] = g.grad
         self.losses[j] = values
 
     def step(self, it: int) -> list[float]:
         """Iteration `it` on every process: leaves the batch mean of the
         scenes' gradients in each group's `grad` and returns the batch means
         of their loss values, in LOSS_COLUMNS order."""
-        if self.grads is None:
+        if self.slots is None:
             self._start()
         for _, go, _ in self.workers:
             os.write(go, it.to_bytes(8, "little"))
@@ -224,10 +238,10 @@ class SceneSteps:
             raise SceneWorkerError(
                 f"scene worker {pid} failed at iteration {it}:\n{reply.decode()}" if reply
                 else f"scene worker {pid} exited during iteration {it}")
+        for slot in self.slots:
+            self.acc += slot
         for g, lo, hi in self.spans:
-            g.grad[...] = self.grads[0, lo:hi]
-            for slot in self.grads[1:]:
-                g.grad += slot[lo:hi]
+            g.grad[...] = self.acc[lo:hi]
         means = self.losses[0].copy()
         for row in self.losses[1:]:
             means += row

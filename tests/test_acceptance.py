@@ -15,8 +15,8 @@ at once with the fingerprint and the rebuild command, and
 CONDKD_CACHE=<dir>, the fixture replays a valid <dir>/<fingerprint>/ or
 clears and rebuilds it there; commit the rebuilt directory with the code
 change that caused it. A rebuild is paid once per code change; the
-last one from empty took 10.0 min for this file on a 2-vCPU box (teacher 26 s,
-c06 students 188 s, attention sweep 337 s, head sweep 35 s). On the same
+last one from empty took 11.0 min for this file on a 2-vCPU box (teacher 30 s,
+c06 students 208 s, attention sweep 365 s, head sweep 43 s). On the same
 machine a rebuild reproduces checkpoints and metrics.csv bit for bit, and a
 from-empty rebuild for a change that leaves the arithmetic untouched
 reproduces all 45 files of the cache it replaces. All other criteria, and

@@ -3,8 +3,11 @@
 perfbench/tracer.py times the program by swapping module attributes and
 class methods for wrappers, and perfbench's workloads call a few functions
 directly. Renaming or deleting any of them breaks the benchmark, which the
-unit tests would otherwise not notice."""
+unit tests would otherwise not notice. The harness's own self-test runs
+here too, so a change that breaks its wiring fails the suite."""
 
+import subprocess
+import sys
 from pathlib import Path
 
 import condkd
@@ -31,3 +34,10 @@ def test_tracer_wraps_and_restores_every_name(monkeypatch):
 def test_workload_entry_points_exist():
     for fn in (train.ablate_attention, verify._composed_total, train.check_teacher_state):
         assert callable(fn)
+
+
+def test_perfbench_selftest_passes():
+    done = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")], capture_output=True,
+                          text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "PASS", done.stdout

@@ -79,6 +79,16 @@ class TestUsageErrors:
         assert "image_sized" in capsys.readouterr().err
 
 
+    def test_config_value_the_pyramid_cannot_tile_fails_before_any_output(self, tmp_path,
+                                                                           capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(MINI_CFG.replace("image_size = 16", "image_size = 40"))
+        out = tmp_path / "out"
+        assert cli.cli_main(["train-teacher", "--config", str(bad), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "image_size must be a multiple of 16, got 40" in err
+        assert not (out / "metrics.csv").exists()
+
 class TestGenData:
     def test_writes_csv_stats_and_previews(self, cfg_file, tmp_path, capsys):
         d = str(tmp_path)

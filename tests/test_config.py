@@ -34,13 +34,20 @@ class TestValidation:
         ("pos_dim", 6), ("pos_dim", 7), ("enc_pos_dim", 5), ("enc_scale_dim", 3),
         ("feat_dim", 0), ("max_log2", 0), ("teacher_widths", (16, 32, 48)),
         ("teacher_widths", ()), ("student_widths", (8, 16, 24, 24, 24)),
-        ("student_widths", (8, 16, 0, 24)), ("lam", float("nan")), ("lam", float("inf"))])
+        ("student_widths", (8, 16, 0, 24)), ("lam", float("nan")), ("lam", float("inf")),
+        ("lr_student", float("nan")), ("lr_decoder", -0.01), ("momentum", 1.5),
+        ("weight_decay", -1.0), ("noise_sigma", -0.1), ("image_size", 40)])
     def test_out_of_range_values_fail_at_construction_naming_their_key(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be"):
             ExperimentConfig(**{key: value})
         text = " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
         with pytest.raises(ValueError, match=f"^{key} must be"):  # as a file gives it
             build_config({key: text})
+
+    @pytest.mark.parametrize("key, value", [("lr_teacher", 1e6), ("lr_student", 0.0),
+                                            ("momentum", 0.0), ("image_size", 48)])
+    def test_edge_values_stay_valid(self, key, value):
+        assert getattr(ExperimentConfig(**{key: value}), key) == value
 
     @pytest.mark.parametrize("strides", [(4, 8), (16, 8), (8,), (8, 16, 32)])
     def test_strides_other_than_the_wired_pair_rejected(self, strides):

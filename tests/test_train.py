@@ -248,8 +248,8 @@ class TestSceneParallel:
                                                  warmup_iters=1),
                                      ExperimentConfig(**DESK_SHORT)], ids=["mini", "desk"])
     def test_bytes_do_not_depend_on_the_process_count(self, cfg, procs, tmp_path):
-        # at 3 processes rank 2 computes scenes 2 and 5 of 8, so the skips of
-        # scenes 6 and 7 carry over into the next iteration
+        # at 3 processes rank 1 computes scenes 2, 3 and 4 of 8, so the skips
+        # of scenes 5, 6 and 7 carry over into the next iteration
         runs = {}
         for n in (1, 2, 3):
             forked = procs(n)
@@ -389,7 +389,7 @@ class TestSceneParallel:
 
         with tr.SceneSteps(groups, cfg.batch_size, scene) as steps:
             steps.step(0)
-            shared = steps.grads.base
+            shared = steps.losses.base
             assert all(g.data.base is shared for g in groups)
         assert_no_child_process()
         assert_views()
@@ -436,7 +436,7 @@ class TestSceneParallel:
         split = [computed()]
         tr.distill_student(cfg, teacher, two)
         split.append(computed())
-        for loop in split:  # each side its interleave share, however slow
+        for loop in split:  # each side its block, however slow
             assert loop == {"caller": 3 * 4, "worker": 3 * 4}, loop
         assert len(forked) == 2
         assert_no_child_process()
@@ -445,6 +445,7 @@ class TestSceneParallel:
 
     def test_more_processes_than_cores_compute_each_scene_once(self, procs, tmp_path):
         n = len(os.sched_getaffinity(0)) + 2
+        b = 2 * n + 1  # blocks of 2 and 3 scenes
         forked = procs(n)
         log = tmp_path / "computed"
         group = ParamGroup("student")
@@ -462,19 +463,46 @@ class TestSceneParallel:
                 acc += v
             return acc * (1.0 / len(values))
 
-        want = [scene_order_mean([float(j) for j in range(2 * n)]),
-                scene_order_mean([1.0 / (j + 1) for j in range(2 * n)]), 0.0, 0.0]
-        with tr.SceneSteps([group], 2 * n, scene) as steps:
+        want = [scene_order_mean([float(j) for j in range(b)]),
+                scene_order_mean([1.0 / (j + 1) for j in range(b)]), 0.0, 0.0]
+        with tr.SceneSteps([group], b, scene) as steps:
             for it in range(20):
                 assert steps.step(it) == want
         assert len(forked) == n - 1
         assert_no_child_process()
         ranks = [os.getpid()] + forked  # the caller is rank 0, workers in fork order
         calls = [tuple(map(int, line.split(","))) for line in log.read_text().splitlines()]
-        assert sorted(calls) == [(it, j, ranks[j % n]) for it in range(20) for j in range(2 * n)]
+        block = [(r * b // n, (r + 1) * b // n) for r in range(n)]  # rank r's scenes
+        assert block[0] == (0, 2)  # the caller's block is the first and the smallest
+        owner = [r for r, (lo, hi) in enumerate(block) for _ in range(lo, hi)]
+        assert sorted(calls) == [(it, j, ranks[owner[j]]) for it in range(20) for j in range(b)]
         for rank, pid in enumerate(ranks):  # only its own scenes, in increasing (it, j) order
             assert [c[:2] for c in calls if c[2] == pid] == [
-                (it, j) for it in range(20) for j in range(rank, 2 * n, n)], rank
+                (it, j) for it in range(20) for j in range(*block[rank])], rank
+
+    @pytest.mark.parametrize("n, slots", [(1, 0), (2, 4), (3, 6)])
+    def test_the_mapping_holds_slots_only_for_other_ranks_scenes(self, n, slots, procs):
+        # the caller sums its own block, the first floor(8/n) scenes, in
+        # private memory; the mapping holds the parameters, one slot per
+        # other rank's scene and the 8 loss rows, and dies with the loop
+        procs(n)
+        group = ParamGroup("student")
+        weight = group.add("w", np.arange(1.0, 6.0))
+
+        def scene(it, j):
+            loss = T.tsum(T.mul(weight, weight)) * float(j + 1)
+            return loss, (loss.item(), 0.0, 0.0, 0.0)
+
+        with tr.SceneSteps([group], 8, scene) as steps:
+            steps.step(0)
+            mapping = weakref.ref(steps.losses.base.base.obj)
+            assert len(mapping()) == 8 * ((1 + slots) * 5 + 8 * len(tr.LOSS_COLUMNS))
+            assert steps.slots.shape == (slots, 5)
+            assert np.shares_memory(group.data, steps.losses.base)
+        assert_no_child_process()
+        assert mapping() is None
+        # scene j's gradient is 2(j + 1)w / 8, so the batch's is 9w
+        np.testing.assert_allclose(weight.grad, 9.0 * weight.data, rtol=1e-15)
 
     def test_a_scene_graph_is_freed_before_the_next_is_built(self, procs):
         # two live graphs at once would raise a loop's peak memory
