@@ -1,6 +1,7 @@
 """Experiment configuration: one flat record driving data generation, model
 shapes, the distillation loop, and the ablations, plus a plain-text
-`key = value` overrides file."""
+`key = value` overrides file. The scene generator, the condition encoder and
+the detectors read their fields from it directly."""
 
 from __future__ import annotations
 
@@ -9,16 +10,11 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .instances import EncoderSpec
-from .pyramid import STRIDES, DetectorConfig
-from .scenes import SceneSpec
+from .pyramid import STRIDES
 
 logger = logging.getLogger("condkd")
 
 ATTENTION_VARIANTS = ("icd", "none", "foreground", "fine_grained", "activation")
-
-_SIZE_MEANS = (18.0, 12.0, 26.0)
-_SIZE_STDS = (3.0, 2.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -88,26 +84,6 @@ class ExperimentConfig:
         for key, step in (("pos_dim", 4), ("enc_pos_dim", 2), ("enc_scale_dim", 2)):
             if getattr(self, key) % step:
                 raise ValueError(f"{key} must be a multiple of {step}, got {getattr(self, key)}")
-
-    def detector_config(self, widths: tuple[int, ...]) -> DetectorConfig:
-        return DetectorConfig(self.image_size, self.num_classes, self.feat_dim, tuple(widths))
-
-    def teacher_config(self) -> DetectorConfig:
-        return self.detector_config(self.teacher_widths)
-
-    def student_config(self) -> DetectorConfig:
-        return self.detector_config(self.student_widths)
-
-    def encoder_spec(self) -> EncoderSpec:
-        return EncoderSpec(self.num_classes, self.enc_pos_dim, self.enc_scale_dim,
-                           self.max_log2, self.jitter)
-
-    def scene_spec(self) -> SceneSpec:
-        c = self.num_classes
-        means = tuple(_SIZE_MEANS[i % 3] for i in range(c))
-        stds = tuple(_SIZE_STDS[i % 3] for i in range(c))
-        return SceneSpec(self.image_size, c, self.noise_sigma,
-                         size_means=means, size_stds=stds)
 
 
 def parse_config_file(path: str) -> dict[str, str]:

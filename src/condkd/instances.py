@@ -6,6 +6,7 @@ jittered within the box, sizes are coarsened to power-of-two bins, and fake
 instances sampled from dataset statistics are mixed in. The encoder output is
 deliberately too coarse to reconstruct the annotation, which forces the
 decoder to consult teacher features instead of copying its input through.
+The encoder reads its layout, jitter and scale switch from `ExperimentConfig`.
 """
 
 from __future__ import annotations
@@ -14,12 +15,16 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tensor as T
 from .nn import Mlp3, one_hot, sine_pos_embed
 from .tensor import Tensor
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 
 @dataclass
@@ -116,23 +121,11 @@ def scale_indicator(w_px: float, h_px: float) -> tuple[int, int]:
     return (int(math.floor(math.log2(w_px))), int(math.floor(math.log2(h_px))))
 
 
-@dataclass(frozen=True)
-class EncoderSpec:
-    """Fixed layout of the condition vector.
-
-    concat[ one_hot(category, C) | sine(x', pos_dim) | sine(y', pos_dim)
-          | sine(iw/max_log2, scale_dim) | sine(ih/max_log2, scale_dim) ]
-    """
-
-    num_classes: int
-    pos_dim: int = 16
-    scale_dim: int = 8
-    max_log2: int = 6  # largest expected floor(log2(size px)); normalizes indicators
-    jitter: float = 0.3
-
-    @property
-    def width(self) -> int:
-        return self.num_classes + 2 * self.pos_dim + 2 * self.scale_dim
+def condition_width(cfg: ExperimentConfig) -> int:
+    """Width of a condition vector: concat[ one_hot(category, C)
+    | sine(x', enc_pos_dim) | sine(y', enc_pos_dim) | sine(iw/max_log2, enc_scale_dim)
+    | sine(ih/max_log2, enc_scale_dim) ], max_log2 the largest expected floor(log2(size px))."""
+    return cfg.num_classes + 2 * cfg.enc_pos_dim + 2 * cfg.enc_scale_dim
 
 
 @functools.lru_cache(maxsize=1024)
@@ -161,23 +154,23 @@ class ConditionSet:
         return len(self.instances)
 
 
-def encode_set(instances: list[Instance], spec: EncoderSpec, rng: np.random.Generator,
-               include_scale: bool = True) -> ConditionSet:
-    """Condition vectors of `instances`, one row each in the EncoderSpec
+def encode_set(instances: list[Instance], cfg: ExperimentConfig,
+               rng: np.random.Generator) -> ConditionSet:
+    """Condition vectors of `instances`, one row each in the condition_width
     layout; each center moves by jitter_draws times its box size, clipped to
     [0,1], and the sine codes of all centers take one call per axis.
-    include_scale=False zeroes the scale-indicator block (scale-hint ablation)."""
+    A config with use_scale=False zeroes the scale-indicator block (scale-hint ablation)."""
     if not instances:
-        return ConditionSet([], np.zeros((0, spec.width)), np.zeros((0, 2)))
-    c, p = spec.num_classes, spec.pos_dim
+        return ConditionSet([], np.zeros((0, condition_width(cfg))), np.zeros((0, 2)))
+    c, p = cfg.num_classes, cfg.enc_pos_dim
     boxes = np.array([(i.x, i.y, i.w, i.h) for i in instances])
-    centers = np.clip(boxes[:, :2] + jitter_draws(len(boxes), spec.jitter, rng) * boxes[:, 2:], 0, 1)
-    out = np.zeros((len(instances), spec.width))
+    centers = np.clip(boxes[:, :2] + jitter_draws(len(boxes), cfg.jitter, rng) * boxes[:, 2:], 0, 1)
+    out = np.zeros((len(instances), condition_width(cfg)))
     for i, inst in enumerate(instances):
         out[i, :c] = one_hot(inst.category, c)
         iw, ih = scale_indicator(inst.w_px, inst.h_px)
-        if include_scale:
-            out[i, c + 2 * p:] = _scale_block(iw, ih, spec.max_log2, spec.scale_dim)
+        if cfg.use_scale:
+            out[i, c + 2 * p:] = _scale_block(iw, ih, cfg.max_log2, cfg.enc_scale_dim)
     out[:, c:c + p] = sine_pos_embed(centers[:, 0], p)
     out[:, c + p:c + 2 * p] = sine_pos_embed(centers[:, 1], p)
     return ConditionSet(list(instances), out, centers)
@@ -220,7 +213,8 @@ def build_conditions(reals: list[Instance], stats: DatasetStats, ratio: int,
     return list(reals) + sample_fakes(stats, len(reals), ratio, rng)
 
 
-def skip_conditions(n_real: int, stats: DatasetStats, ratio: int, spec: EncoderSpec, rng) -> None:
+def skip_conditions(n_real: int, stats: DatasetStats, cfg: ExperimentConfig, rng) -> None:
     """Advance `rng` past a scene of n_real real instances exactly as
-    build_conditions and then encode_set do, making only their draws."""
-    jitter_draws(n_real + len(fake_draws(stats, ratio * n_real, rng)), spec.jitter, rng)
+    build_conditions (at cfg.fake_ratio) and then encode_set do, making only
+    their draws."""
+    jitter_draws(n_real + len(fake_draws(stats, cfg.fake_ratio * n_real, rng)), cfg.jitter, rng)

@@ -80,9 +80,13 @@ def one_hot(c: int, num_categories: int) -> np.ndarray:
     return v
 
 
+MAX_GRAD_NORM = 1000.0  # far above what training reaches (Pascanu et al., 2013)
+
+
 class MomentumSGD:
     """Classic momentum: buf = mu*buf + grad; p -= lr*buf. Decoupled decay.
-    Elementwise on the group's flat buffers; a frozen group does not move."""
+    Elementwise on the group's flat buffers; a frozen group does not move.
+    A finite gradient above MAX_GRAD_NORM is scaled down to that norm."""
 
     def __init__(self, group: ParamGroup, lr: float, momentum: float = 0.9, weight_decay: float = 0.0):
         self.group = group
@@ -95,6 +99,9 @@ class MomentumSGD:
         g = self.group
         if g.grad is None:
             return
+        norm = np.linalg.norm(g.grad)
+        if MAX_GRAD_NORM < norm < np.inf:
+            g.grad *= MAX_GRAD_NORM / norm
         self.buf *= self.momentum
         self.buf += g.grad
         g.data *= 1.0 - self.lr * self.weight_decay

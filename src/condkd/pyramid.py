@@ -4,7 +4,9 @@ The detector is deliberately small plumbing: a strided conv backbone, 1x1
 lateral projections onto a shared width at the two levels of STRIDES, and a
 dense per-cell head predicting class logits and ltrb box distances. It stands
 in for a real dense detector so the distillation machinery has genuine
-multi-scale features to work with.
+multi-scale features to work with. It reads image_size, num_classes and
+feat_dim from the `ExperimentConfig`; its backbone widths are the config's
+teacher_widths or student_widths, passed in.
 
 Images and backbone maps are channel-last: [H, W, 3] and [H, W, C]. From the
 laterals on, a level is one row per cell, [H*W x D] in row-major order, and
@@ -16,6 +18,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,6 +26,9 @@ from . import tensor as T
 from .instances import Instance
 from .nn import Linear, kaiming_uniform, sine_pos_embed
 from .tensor import ParamGroup, ShapeError, Tensor
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 STRIDES = (8, 16)  # the pyramid levels the backbone is wired for
 # cap on the box-regression exponent: a diverging step stays finite, while a
@@ -52,14 +58,6 @@ class Conv2d:
         if h % self.stride or w % self.stride:
             raise ValueError(f"spatial size {h}x{w} not divisible by stride {self.stride}")
         return T.conv2d(x, self.weight, self.bias, 3, self.stride)
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    image_size: int = 64
-    num_classes: int = 3
-    feat_dim: int = 32  # shared pyramid width D
-    widths: tuple[int, int, int, int] = (16, 32, 48, 48)  # backbone stage channels
 
 
 @dataclass(frozen=True)
@@ -117,13 +115,12 @@ class ToyDetector:
     shapes agree.
     """
 
-    def __init__(self, cfg: DetectorConfig, group: ParamGroup, rng: np.random.Generator):
-        if cfg.image_size % max(STRIDES):
-            raise ValueError(f"image size {cfg.image_size} not divisible by stride {max(STRIDES)}")
+    def __init__(self, cfg: ExperimentConfig, widths: tuple[int, ...], group: ParamGroup,
+                 rng: np.random.Generator):
         self.cfg = cfg
         self.group = group
-        w1, w2, w3, w4 = cfg.widths
-        d = cfg.feat_dim
+        w1, w2, w3, w4 = widths  # backbone stage channels
+        d = cfg.feat_dim  # the shared pyramid width
         self.conv1 = Conv2d(3, w1, group, rng, "backbone.conv1", stride=2)
         self.conv2 = Conv2d(w1, w2, group, rng, "backbone.conv2", stride=2)
         self.conv3 = Conv2d(w2, w3, group, rng, "backbone.conv3", stride=2)
@@ -216,7 +213,7 @@ def assign_cells(centers: np.ndarray, instances: list[Instance]) -> tuple[np.nda
 
 
 def det_loss(preds: tuple[Tensor, Tensor], instances: list[Instance],
-             cfg: DetectorConfig) -> Tensor:
+             cfg: ExperimentConfig) -> Tensor:
     """Dense detection loss on det_head_forward's (logits, ltrb): all-cell BCE
     on class logits plus L1 on ltrb at positive cells, normalized by the
     positive count (floored at 1)."""

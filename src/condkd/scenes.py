@@ -1,7 +1,9 @@
 """Synthetic detection scenes: colored rectangles on a gray background.
 
-Rectangles are drawn on the pixel grid, so every box corner is an exact
-multiple of 1/image_size. That keeps the side-distance identities
+The generator reads the `ExperimentConfig` fields it uses (image_size,
+num_classes, noise_sigma); the knobs no config sets are the constants
+below. Rectangles are drawn on the pixel grid, so every box corner is an
+exact multiple of 1/image_size. That keeps the side-distance identities
 (l + r == w, t + b == h) bit-exact downstream and makes scenes reproducible
 to the last bit from their seed.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,27 +21,15 @@ from . import tensor as T
 from .instances import Instance, make_instance
 from .tensor import Tensor
 
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
-@dataclass(frozen=True)
-class SceneSpec:
-    """Generator knobs. Per-class pixel sizes are Gaussian so dataset
-    statistics are informative; means are spread out to keep classes
-    distinguishable by scale as well as by texture."""
-
-    image_size: int = 64
-    num_classes: int = 3
-    noise_sigma: float = 0.05
-    min_instances: int = 1
-    max_instances: int = 4
-    size_means: tuple[float, ...] = (18.0, 12.0, 26.0)
-    size_stds: tuple[float, ...] = (3.0, 2.0, 4.0)
-    background: float = 0.12
-
-    def __post_init__(self):
-        if len(self.size_means) != self.num_classes or len(self.size_stds) != self.num_classes:
-            raise ValueError("size_means/size_stds must have one entry per class")
-        if not 0 <= self.min_instances <= self.max_instances:
-            raise ValueError("need 0 <= min_instances <= max_instances")
+MIN_INSTANCES, MAX_INSTANCES = 1, 4  # instances per scene, both inclusive
+BACKGROUND = 0.12
+# Gaussian pixel sizes of class c mod 3, as its texture: spread-out means keep
+# classes distinguishable by scale, and dataset statistics informative.
+SIZE_MEANS = (18.0, 12.0, 26.0)
+SIZE_STDS = (3.0, 2.0, 4.0)
 
 
 @dataclass
@@ -79,57 +70,57 @@ def _texture(category: int, h: int, w: int) -> np.ndarray:
     return patch
 
 
-def _sample_box(spec: SceneSpec, category: int, rng: np.random.Generator) -> tuple[int, int, int, int]:
-    lo, hi = 3, spec.image_size - 2
-    w = min(max(round(rng.normal(spec.size_means[category], spec.size_stds[category])), lo), hi)
-    h = min(max(round(rng.normal(spec.size_means[category], spec.size_stds[category])), lo), hi)
-    x1 = int(rng.integers(0, spec.image_size - w + 1))
-    y1 = int(rng.integers(0, spec.image_size - h + 1))
+def _sample_box(s: int, category: int, rng: np.random.Generator) -> tuple[int, int, int, int]:
+    mean, std = SIZE_MEANS[category % len(SIZE_MEANS)], SIZE_STDS[category % len(SIZE_STDS)]
+    w = min(max(round(rng.normal(mean, std)), 3), s - 2)
+    h = min(max(round(rng.normal(mean, std)), 3), s - 2)
+    x1 = int(rng.integers(0, s - w + 1))
+    y1 = int(rng.integers(0, s - h + 1))
     return x1, y1, x1 + w, y1 + h
 
 
-def instance_count(spec: SceneSpec, rng: np.random.Generator) -> int:
+def instance_count(rng: np.random.Generator) -> int:
     """A scene's number of instances: the first draw of its stream."""
-    return int(rng.integers(spec.min_instances, spec.max_instances + 1))
+    return int(rng.integers(MIN_INSTANCES, MAX_INSTANCES + 1))
 
 
-def _draw_layout(spec: SceneSpec, rng: np.random.Generator):
+def _draw_layout(cfg: ExperimentConfig, rng: np.random.Generator):
     """Every draw of a scene but its noise: (instance, pixel box) pairs in
     paint order."""
-    s = spec.image_size
+    s = cfg.image_size
     layout = []
-    for _ in range(instance_count(spec, rng)):
-        category = int(rng.integers(spec.num_classes))
-        x1, y1, x2, y2 = box = _sample_box(spec, category, rng)
+    for _ in range(instance_count(rng)):
+        category = int(rng.integers(cfg.num_classes))
+        x1, y1, x2, y2 = box = _sample_box(s, category, rng)
         layout.append((make_instance(category, (x1 + x2) / 2 / s, (y1 + y2) / 2 / s,
                                      (x2 - x1) / s, (y2 - y1) / s, s, s), box))
     return layout
 
 
-def scene_instances(spec: SceneSpec, seed: tuple[int, ...]) -> list[Instance]:
-    """The instances of generate_scene(spec, seed), without rendering it."""
-    return [inst for inst, _ in _draw_layout(spec, np.random.default_rng(seed))]
+def scene_instances(cfg: ExperimentConfig, seed: tuple[int, ...]) -> list[Instance]:
+    """The instances of generate_scene(cfg, seed), without rendering it."""
+    return [inst for inst, _ in _draw_layout(cfg, np.random.default_rng(seed))]
 
 
-def generate_scene(spec: SceneSpec, seed: tuple[int, ...]) -> Scene:
+def generate_scene(cfg: ExperimentConfig, seed: tuple[int, ...]) -> Scene:
     rng = np.random.default_rng(seed)
-    s = spec.image_size
-    canvas = np.full((s, s, 3), spec.background)
-    layout = _draw_layout(spec, rng)
+    s = cfg.image_size
+    canvas = np.full((s, s, 3), BACKGROUND)
+    layout = _draw_layout(cfg, rng)
     for inst, box in layout:
         _paint(canvas, inst.category, *box)
     instances = [inst for inst, _ in layout]
-    if spec.noise_sigma > 0:
-        canvas = canvas + rng.normal(0.0, spec.noise_sigma, canvas.shape)
+    if cfg.noise_sigma > 0:
+        canvas = canvas + rng.normal(0.0, cfg.noise_sigma, canvas.shape)
     return Scene(T.constant(canvas), instances, seed)
 
 
 @dataclass(frozen=True)
 class SceneStream(Sequence):
-    """The scenes generate_scene(spec, prefix + (i,)) for i < n, each
+    """The scenes generate_scene(cfg, prefix + (i,)) for i < n, each
     generated when it is read, so a pass over them holds one at a time."""
 
-    spec: SceneSpec
+    cfg: ExperimentConfig
     prefix: tuple[int, ...]
     n: int
 
@@ -137,5 +128,5 @@ class SceneStream(Sequence):
         return self.n
 
     def __getitem__(self, i: int) -> Scene:
-        return generate_scene(self.spec, self.prefix + (range(self.n)[i],))
+        return generate_scene(self.cfg, self.prefix + (range(self.n)[i],))
 

@@ -25,7 +25,8 @@ from .checkpoint import CheckpointError, group_state, load_group, save_checkpoin
 from .config import ATTENTION_VARIANTS, ExperimentConfig
 from .decoder import ConditionalDecoder, Knowledge
 from .evaluate import evaluate_toy_ap
-from .instances import EncoderSpec, build_conditions, compute_stats, encode_set, make_query, skip_conditions
+from .instances import (build_conditions, compute_stats, condition_width, encode_set, make_query,
+                        skip_conditions)
 from .losses import AuxHeads, aux_loss, distill_loss, total_loss
 from .nn import Mlp3, MomentumSGD
 from .pyramid import (STRIDES, FlatPyramid, ToyDetector, det_loss, flatten_pyramid,
@@ -82,11 +83,11 @@ class RunResult:
 
 
 def train_scene(cfg: ExperimentConfig, i: int) -> Scene:
-    return generate_scene(cfg.scene_spec(), (cfg.seed, 1, i))
+    return generate_scene(cfg, (cfg.seed, 1, i))
 
 
 def heldout_scenes(cfg: ExperimentConfig) -> SceneStream:
-    return SceneStream(cfg.scene_spec(), (cfg.seed, 2), cfg.eval_scenes)
+    return SceneStream(cfg, (cfg.seed, 2), cfg.eval_scenes)
 
 
 # -- scene-parallel steps ------------------------------------------------------
@@ -311,13 +312,13 @@ def train_teacher(cfg: ExperimentConfig, out_dir: str, run_name: str = "teacher"
     geometry fields embedded so distillation can validate compatibility."""
     metrics = MetricsWriter(out_dir, run_name)
     group = ParamGroup("teacher")
-    teacher = ToyDetector(cfg.teacher_config(), group, np.random.default_rng((cfg.seed, 10)))
+    teacher = ToyDetector(cfg, cfg.teacher_widths, group, np.random.default_rng((cfg.seed, 10)))
     opt = MomentumSGD(group, cfg.lr_teacher, cfg.momentum, cfg.weight_decay)
 
     def scene(it: int, j: int):
         s = train_scene(cfg, it * cfg.batch_size + j)
         det = det_loss(teacher.det_head_forward(teacher.backbone_forward(s.image)),
-                       s.instances, teacher.cfg)
+                       s.instances, cfg)
         return det, (det.item(), 0.0, 0.0, 0.0)
 
     final, ap = _train(cfg, metrics, teacher, [opt], cfg.teacher_iters, scene,
@@ -343,27 +344,25 @@ class System:
     decoder: ConditionalDecoder
     aux: AuxHeads
     f_q: Mlp3
-    espec: EncoderSpec
 
 
 def build_system(cfg: ExperimentConfig) -> System:
     """Fresh weights for every group; the teacher group is frozen."""
     groups = {name: ParamGroup(name) for name in ("teacher", "student", "decoder", "aux")}
     groups["teacher"].freeze()  # before its tensors exist: no gradient storage at all
-    teacher = ToyDetector(cfg.teacher_config(), groups["teacher"],
+    teacher = ToyDetector(cfg, cfg.teacher_widths, groups["teacher"],
                           np.random.default_rng((cfg.seed, 11)))
-    student = ToyDetector(cfg.student_config(), groups["student"],
+    student = ToyDetector(cfg, cfg.student_widths, groups["student"],
                           np.random.default_rng((cfg.seed, 12)))
     decoder = ConditionalDecoder(cfg.feat_dim, cfg.heads, cfg.pos_dim + 2,
                                  groups["decoder"], np.random.default_rng((cfg.seed, 13)),
                                  cfg.depth)
-    espec = cfg.encoder_spec()
-    f_q = Mlp3(espec.width, cfg.feat_dim, cfg.feat_dim, groups["decoder"],
+    f_q = Mlp3(condition_width(cfg), cfg.feat_dim, cfg.feat_dim, groups["decoder"],
                np.random.default_rng((cfg.seed, 14)), "f_q")
     aux = AuxHeads(cfg.feat_dim, groups["aux"], np.random.default_rng((cfg.seed, 15)))
     for g in groups.values():
         g.trim()
-    return System(groups, teacher, student, decoder, aux, f_q, espec)
+    return System(groups, teacher, student, decoder, aux, f_q)
 
 
 def load_system(cfg: ExperimentConfig, teacher_state: dict,
@@ -433,7 +432,7 @@ def decode_conditions(cfg: ExperimentConfig, sys: System, image: Tensor, conds,
                       rng: np.random.Generator):
     """Each condition as a query against the teacher's pyramid of `image`;
     returns the encoded conditions, that flat pyramid and the decoder output."""
-    cset = encode_set(conds, sys.espec, rng, include_scale=cfg.use_scale)
+    cset = encode_set(conds, cfg, rng)
     queries = make_query(cset.vectors, sys.f_q)
     t_flat = flatten_pyramid(sys.teacher.backbone_forward(image), cfg.image_size, cfg.pos_dim)
     g, knowledge = sys.decoder.decode(t_flat, queries)
@@ -453,7 +452,7 @@ def scene_losses(cfg: ExperimentConfig, sys: System, scene: Scene, stats,
     cset, t_flat, g, knowledge = decode_conditions(cfg, sys, scene.image, conds, cond_rng)
     idf, loc = aux_loss(g, cset, sys.aux, use_idf=cfg.use_idf, use_loc=cfg.use_loc)
     s_levels = sys.student.backbone_forward(scene.image)
-    det = det_loss(sys.student.det_head_forward(s_levels), scene.instances, sys.student.cfg)
+    det = det_loss(sys.student.det_head_forward(s_levels), scene.instances, cfg)
     if distill_active:
         s_flat = flatten_pyramid(s_levels, cfg.image_size, cfg.pos_dim)
         s_values = sys.decoder.student_values(s_flat, detach_weights=distill_detach)
@@ -467,8 +466,7 @@ def scene_losses(cfg: ExperimentConfig, sys: System, scene: Scene, stats,
 
 def dataset_stats(cfg: ExperimentConfig):
     """Instance statistics of the first stats_scenes training scenes."""
-    spec = cfg.scene_spec()
-    reals = [scene_instances(spec, (cfg.seed, 1, i)) for i in range(cfg.stats_scenes)]
+    reals = [scene_instances(cfg, (cfg.seed, 1, i)) for i in range(cfg.stats_scenes)]
     return compute_stats(reals, cfg.num_classes, cfg.image_size, cfg.image_size)
 
 
@@ -485,14 +483,14 @@ def distill_student(cfg: ExperimentConfig, teacher_state: dict, out_dir: str,
             zip(TRAINED_GROUPS, (cfg.lr_student, cfg.lr_decoder, cfg.lr_decoder))]
     stats = dataset_stats(cfg)
     cond_rng = np.random.default_rng((cfg.seed, 20))
-    spec, b, passed = cfg.scene_spec(), cfg.batch_size, 0
+    b, passed = cfg.batch_size, 0
 
     def scene(it: int, j: int):
         nonlocal passed  # the first scene cond_rng has not passed
         i = it * b + j
         for k in range(passed, i):  # other ranks' scenes: only their cond_rng draws
-            skip_conditions(instance_count(spec, np.random.default_rng((cfg.seed, 1, k))),
-                            stats, cfg.fake_ratio, sys.espec, cond_rng)
+            skip_conditions(instance_count(np.random.default_rng((cfg.seed, 1, k))), stats, cfg,
+                            cond_rng)
         passed = i + 1
         active = cfg.lam != 0.0 and it >= cfg.warmup_iters
         parts = scene_losses(cfg, sys, train_scene(cfg, i), stats, cond_rng, active)

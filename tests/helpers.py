@@ -26,9 +26,9 @@ def pixel_instance(category, px1, py1, px2, py2, image=16, is_real=True):
     return make_instance(category, cx, cy, w, h, image, image, is_real)
 
 
-def condition_center(inst, spec, rng):
-    """The jittered center `encode_set` encodes for `inst` alone."""
-    return tuple(encode_set([inst], spec, rng).centers[0])
+def condition_center(inst, cfg, rng):
+    """The jittered center `encode_set` encodes for `inst` alone under `cfg`."""
+    return tuple(encode_set([inst], cfg, rng).centers[0])
 
 
 def regression_targets(inst, center):

@@ -15,8 +15,8 @@ at once with the fingerprint and the rebuild command, and
 CONDKD_CACHE=<dir>, the fixture replays a valid <dir>/<fingerprint>/ or
 clears and rebuilds it there; commit the rebuilt directory with the code
 change that caused it. A rebuild is paid once per code change; the
-last one from empty took 11.0 min for this file on a 2-vCPU box (teacher 30 s,
-c06 students 208 s, attention sweep 365 s, head sweep 43 s). On the same
+last one from empty took 10.1 min for this file on a 2-vCPU box (teacher 27 s,
+c06 students 201 s, attention sweep 331 s, head sweep 33 s). On the same
 machine a rebuild reproduces checkpoints and metrics.csv bit for bit, and a
 from-empty rebuild for a change that leaves the arithmetic untouched
 reproduces all 45 files of the cache it replaces. All other criteria, and
@@ -355,7 +355,6 @@ def test_c04_loss_identities():
 
     # ltrb identity on pixel-aligned boxes with jittered reference centers
     rng = np.random.default_rng(77)
-    spec = ExperimentConfig().encoder_spec()
     exact = 0
     for _ in range(1000):
         x1, y1 = rng.integers(0, 60, size=2)
@@ -363,7 +362,7 @@ def test_c04_loss_identities():
         inst = pixel_instance(int(rng.integers(0, 3)), int(x1), int(y1),
                               int(x1 + w), int(y1 + h), image=64)
         left, top, right, bottom = regression_targets(
-            inst, condition_center(inst, spec, rng))
+            inst, condition_center(inst, ExperimentConfig(), rng))
         exact += (left + right == inst.w) and (top + bottom == inst.h)
     ok = zero == 0.0 and uniform_dev < 1e-10 and exact == 1000
     _line(4, ok, f"distill(equal features)={zero} exactly, uniform-mask formula "
@@ -402,14 +401,13 @@ def test_c05_condition_sampling_statistics():
             worst_rel = max(worst_rel, rel)
             size_ok &= rel < 0.05
 
-    spec = cfg.encoder_spec()
     jit_ok = True
     jrng = np.random.default_rng(17)
     for _ in range(10000):
         x1, y1 = jrng.integers(0, 60, size=2)
         w, h = jrng.integers(1, 64 - max(x1, y1), size=2)
         inst = pixel_instance(0, int(x1), int(y1), int(x1 + w), int(y1 + h), image=64)
-        cx, cy = condition_center(inst, spec, jrng)
+        cx, cy = condition_center(inst, cfg, jrng)
         jit_ok &= abs(cx - inst.x) <= 0.3 * inst.w + 1e-12
         jit_ok &= abs(cy - inst.y) <= 0.3 * inst.h + 1e-12
     ok = ratio_ok and size_ok and jit_ok

@@ -169,7 +169,7 @@ class TestExportAttn:
         student = os.path.join(trained, "distill.ckpt")
         built, generate = [], scenes.generate_scene
         monkeypatch.setattr(scenes, "generate_scene",
-                            lambda spec, seed: built.append(seed) or generate(spec, seed))
+                            lambda cfg, seed: built.append(seed) or generate(cfg, seed))
         code = cli.cli_main(["export-attn", "--config", cfg_file, "--out-dir", trained,
                              "--student", student,
                              "--scene", "0", "--instance", "0", "--head", "1"])

@@ -1,9 +1,15 @@
-"""Experiment config: validation, file parsing, coercion, derived specs."""
+"""Experiment config: validation, file parsing, coercion, and the import
+graph that lets every module read it."""
 
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import condkd
 from condkd.config import ExperimentConfig, build_config, load_config, parse_config_file
 from condkd.pyramid import STRIDES
 
@@ -36,7 +42,8 @@ class TestValidation:
         ("teacher_widths", ()), ("student_widths", (8, 16, 24, 24, 24)),
         ("student_widths", (8, 16, 0, 24)), ("lam", float("nan")), ("lam", float("inf")),
         ("lr_student", float("nan")), ("lr_decoder", -0.01), ("momentum", 1.5),
-        ("weight_decay", -1.0), ("noise_sigma", -0.1), ("image_size", 40)])
+        ("weight_decay", -1.0), ("noise_sigma", -0.1), ("image_size", 40),
+        ("image_size", 60)])
     def test_out_of_range_values_fail_at_construction_naming_their_key(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be"):
             ExperimentConfig(**{key: value})
@@ -131,22 +138,15 @@ class TestBuild:
         assert cfg.lam == 1.25 and cfg.heads == 8
 
 
-class TestDerivedSpecs:
-    def test_detector_configs_share_everything_but_widths(self):
-        cfg = ExperimentConfig()
-        t, s = cfg.teacher_config(), cfg.student_config()
-        assert t.widths == cfg.teacher_widths and s.widths == cfg.student_widths
-        assert t.image_size == s.image_size == cfg.image_size
-        assert t.feat_dim == s.feat_dim == cfg.feat_dim
-
-    def test_encoder_spec_tracks_config(self):
-        cfg = ExperimentConfig(jitter=0.2, enc_pos_dim=8)
-        spec = cfg.encoder_spec()
-        assert spec.jitter == 0.2 and spec.pos_dim == 8
-        assert spec.num_classes == cfg.num_classes
-
-    def test_scene_spec_extends_palette_to_class_count(self):
-        cfg = ExperimentConfig(num_classes=5)
-        spec = cfg.scene_spec()
-        assert len(spec.size_means) == 5
-        assert spec.size_means[3] == spec.size_means[0]
+def test_every_module_imports_first_in_a_fresh_interpreter():
+    # the modules that read ExperimentConfig import it for annotations only;
+    # a runtime import of config from below it would be a cycle, which breaks
+    # only when the importer is the first condkd module a process loads
+    src = Path(condkd.__file__).resolve().parent
+    modules = sorted(p.stem for p in src.glob("*.py") if p.stem != "__init__")
+    assert "config" in modules and "scenes" in modules
+    env = {**os.environ, "PYTHONPATH": str(src.parent)}
+    for module in modules:
+        proc = subprocess.run([sys.executable, "-c", f"import condkd.{module}"], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, f"import condkd.{module} first:\n{proc.stderr}"

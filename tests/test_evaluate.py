@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from condkd import scenes as sc
 from condkd import tensor as T
+from condkd.config import ExperimentConfig
 from condkd.evaluate import (
     Detection,
     ap_from_detections,
@@ -14,9 +16,15 @@ from condkd.evaluate import (
     greedy_nms,
 )
 from condkd.instances import make_instance
-from condkd.pyramid import DetectorConfig, ToyDetector
-from condkd.scenes import SceneSpec, SceneStream
+from condkd.pyramid import ToyDetector
+from condkd.scenes import SceneStream
 from condkd.tensor import ParamGroup
+
+TINY = ExperimentConfig(image_size=16, num_classes=2, feat_dim=4)
+
+
+def tiny_detector():
+    return ToyDetector(TINY, (2, 2, 3, 3), ParamGroup("teacher"), np.random.default_rng(0))
 
 
 class TestBoxIou:
@@ -112,16 +120,14 @@ class TestDecodePredictions:
     def test_fresh_detector_emits_nothing(self):
         # zero-initialized biases put every class probability at exactly 0.5,
         # below the strict threshold
-        cfg = DetectorConfig(image_size=16, num_classes=2, feat_dim=4, widths=(2, 2, 3, 3))
-        det = ToyDetector(cfg, ParamGroup("teacher"), np.random.default_rng(0))
+        det = tiny_detector()
         for lin in (det.head_out,):
             lin.weight.data[...] = 0.0
         img = T.constant(np.random.default_rng(1).normal(size=(16, 16, 3)))
         assert decode_predictions(det, img) == []
 
     def test_forced_logit_produces_box_at_cell_center(self):
-        cfg = DetectorConfig(image_size=16, num_classes=2, feat_dim=4, widths=(2, 2, 3, 3))
-        det = ToyDetector(cfg, ParamGroup("teacher"), np.random.default_rng(0))
+        det = tiny_detector()
         det.head_out.weight.data[...] = 0.0
         det.head_out.bias.data[...] = [4.0, -4.0, 0.0, 0.0, 0.0, 0.0]
         img = T.constant(np.zeros((16, 16, 3)))
@@ -132,16 +138,16 @@ class TestDecodePredictions:
         w = d.box[2] - d.box[0]
         assert w == pytest.approx(2 * 8 / 16)
 
-    def test_end_to_end_ap_on_fresh_detector_is_zero(self):
-        spec = SceneSpec(image_size=32, size_means=(10.0, 8.0, 12.0), size_stds=(2.0, 1.5, 2.0))
-        scenes = SceneStream(spec, (2,), 3)
-        cfg = DetectorConfig(image_size=32, num_classes=3, feat_dim=8, widths=(4, 6, 8, 8))
-        det = ToyDetector(cfg, ParamGroup("teacher"), np.random.default_rng(3))
+    def test_end_to_end_ap_on_fresh_detector_is_zero(self, monkeypatch):
+        monkeypatch.setattr(sc, "SIZE_MEANS", (10.0, 8.0, 12.0))  # boxes sized for 32 px
+        monkeypatch.setattr(sc, "SIZE_STDS", (2.0, 1.5, 2.0))
+        cfg = ExperimentConfig(image_size=32, feat_dim=8)
+        scenes = SceneStream(cfg, (2,), 3)
+        det = ToyDetector(cfg, (4, 6, 8, 8), ParamGroup("teacher"), np.random.default_rng(3))
         det.head_out.weight.data[...] = 0.0
         assert evaluate_toy_ap(det, scenes) == 0.0
 
     def test_requires_scenes(self):
-        cfg = DetectorConfig(image_size=16, num_classes=2, feat_dim=4, widths=(2, 2, 3, 3))
-        det = ToyDetector(cfg, ParamGroup("teacher"), np.random.default_rng(0))
+        det = tiny_detector()
         with pytest.raises(ValueError, match="scene"):
             evaluate_toy_ap(det, [])

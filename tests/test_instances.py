@@ -3,15 +3,18 @@
 Monte-Carlo expectations are checked against the generating distributions.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from condkd.config import ExperimentConfig
 from condkd.instances import (
     DatasetStats,
-    EncoderSpec,
     Instance,
     build_conditions,
     compute_stats,
+    condition_width,
     encode_set,
     make_instance,
     make_query,
@@ -48,7 +51,8 @@ def test_make_instance_clips_and_rederives():
 def jitter_center(box, a, rng):
     """The center encode_set encodes for an [x, y, w, h] box at jitter a."""
     x, y, w, h = box
-    return condition_center(Instance(0, x, y, w, h, 64 * w, 64 * h), EncoderSpec(1, jitter=a), rng)
+    return condition_center(Instance(0, x, y, w, h, 64 * w, 64 * h),
+                            ExperimentConfig(num_classes=1, jitter=a), rng)
 
 
 def test_jitter_zero_amplitude_is_identity():
@@ -99,40 +103,41 @@ def test_scale_indicator_constant_within_bin():
         assert scale_indicator(s, s) == (3, 3)
 
 
-def encode_one(inst, spec, rng):
+def encode_one(inst, cfg, rng):
     """The condition vector of a single instance."""
-    return encode_set([inst], spec, rng).vectors[0]
+    return encode_set([inst], cfg, rng).vectors[0]
 
 
 def test_encoding_deterministic_without_dropping():
-    spec = EncoderSpec(num_classes=3, jitter=0.0)
+    cfg = ExperimentConfig(num_classes=3, jitter=0.0)
     inst = Instance(1, 0.3, 0.7, 0.2, 0.1, 12.8, 6.4)
-    a = encode_set([inst], spec, np.random.default_rng(0))
-    b = encode_set([inst], spec, np.random.default_rng(99))
+    a = encode_set([inst], cfg, np.random.default_rng(0))
+    b = encode_set([inst], cfg, np.random.default_rng(99))
     assert np.array_equal(a.vectors, b.vectors)
     assert a.centers.tolist() == [[0.3, 0.7]]  # jitter 0 keeps the exact center
 
 
 def test_encoding_differs_only_in_one_hot_for_category_change():
-    spec = EncoderSpec(num_classes=3, jitter=0.0)
-    a = encode_one(Instance(0, 0.3, 0.7, 0.2, 0.1, 12.8, 6.4), spec, np.random.default_rng(0))
-    b = encode_one(Instance(2, 0.3, 0.7, 0.2, 0.1, 12.8, 6.4), spec, np.random.default_rng(0))
+    cfg = ExperimentConfig(num_classes=3, jitter=0.0)
+    a = encode_one(Instance(0, 0.3, 0.7, 0.2, 0.1, 12.8, 6.4), cfg, np.random.default_rng(0))
+    b = encode_one(Instance(2, 0.3, 0.7, 0.2, 0.1, 12.8, 6.4), cfg, np.random.default_rng(0))
     assert not np.array_equal(a[:3], b[:3])
     assert np.array_equal(a[3:], b[3:])
 
 
 def test_encoding_width_matches_spec():
-    spec = EncoderSpec(num_classes=5, pos_dim=16, scale_dim=8)
-    assert spec.width == 5 + 32 + 16
+    cfg = ExperimentConfig(num_classes=5, enc_pos_dim=16, enc_scale_dim=8)
+    assert condition_width(cfg) == 5 + 32 + 16
     inst = Instance(4, 0.5, 0.5, 0.25, 0.25, 16.0, 16.0)
-    assert encode_set([inst] * 3, spec, np.random.default_rng(0)).vectors.shape == (3, spec.width)
+    vectors = encode_set([inst] * 3, cfg, np.random.default_rng(0)).vectors
+    assert vectors.shape == (3, condition_width(cfg))
 
 
 def test_dropping_changes_only_positional_blocks():
-    spec = EncoderSpec(num_classes=3, pos_dim=8, scale_dim=4, jitter=0.3)
+    cfg = ExperimentConfig(num_classes=3, enc_pos_dim=8, enc_scale_dim=4, jitter=0.3)
     inst = Instance(1, 0.5, 0.5, 0.3, 0.3, 19.2, 19.2)
-    a = encode_one(inst, spec, np.random.default_rng(1))
-    b = encode_one(inst, spec, np.random.default_rng(2))
+    a = encode_one(inst, cfg, np.random.default_rng(1))
+    b = encode_one(inst, cfg, np.random.default_rng(2))
     C, P = 3, 8
     assert np.array_equal(a[:C], b[:C])  # one-hot block
     assert not np.array_equal(a[C : C + 2 * P], b[C : C + 2 * P])  # jittered positions
@@ -141,13 +146,13 @@ def test_dropping_changes_only_positional_blocks():
 
 def test_make_query_zero_weights_gives_bias_rows():
     g = ParamGroup("decoder")
-    spec = EncoderSpec(num_classes=2, pos_dim=4, scale_dim=4, jitter=0.0)
-    f_q = Mlp3(spec.width, 8, 6, g, np.random.default_rng(3), "f_q")
+    cfg = ExperimentConfig(num_classes=2, enc_pos_dim=4, enc_scale_dim=4, jitter=0.0)
+    f_q = Mlp3(condition_width(cfg), 8, 6, g, np.random.default_rng(3), "f_q")
     for layer in (f_q.l1, f_q.l2, f_q.l3):
         layer.weight.data[...] = 0.0
     f_q.l3.bias.data[...] = np.arange(6.0)
     insts = [Instance(0, 0.2, 0.2, 0.1, 0.1, 6.4, 6.4), Instance(1, 0.8, 0.8, 0.2, 0.2, 12.8, 12.8)]
-    enc = encode_set(insts, spec, np.random.default_rng(0)).vectors
+    enc = encode_set(insts, cfg, np.random.default_rng(0)).vectors
     q = make_query(enc, f_q)
     assert q.shape == (2, 6)
     assert np.array_equal(q.data, np.tile(np.arange(6.0), (2, 1)))
@@ -155,12 +160,12 @@ def test_make_query_zero_weights_gives_bias_rows():
 
 def test_query_rows_independent():
     g = ParamGroup("decoder")
-    spec = EncoderSpec(num_classes=2, pos_dim=4, scale_dim=4, jitter=0.0)
-    f_q = Mlp3(spec.width, 8, 6, g, np.random.default_rng(4), "f_q")
+    cfg = ExperimentConfig(num_classes=2, enc_pos_dim=4, enc_scale_dim=4, jitter=0.0)
+    f_q = Mlp3(condition_width(cfg), 8, 6, g, np.random.default_rng(4), "f_q")
     i1 = Instance(0, 0.2, 0.2, 0.1, 0.1, 6.4, 6.4)
     i2 = Instance(1, 0.8, 0.8, 0.2, 0.2, 12.8, 12.8)
-    both = make_query(encode_set([i1, i2], spec, np.random.default_rng(0)).vectors, f_q)
-    solo = make_query(encode_set([i1], spec, np.random.default_rng(0)).vectors, f_q)
+    both = make_query(encode_set([i1, i2], cfg, np.random.default_rng(0)).vectors, f_q)
+    solo = make_query(encode_set([i1], cfg, np.random.default_rng(0)).vectors, f_q)
     assert np.allclose(both.data[0], solo.data[0])
 
 
@@ -246,3 +251,13 @@ def test_compute_stats_rejects_empty():
         compute_stats([], 2, 64, 64)
     with pytest.raises(ValueError):
         compute_stats([[]], 2, 64, 64)
+
+
+def test_use_scale_false_zeroes_only_the_scale_block():
+    inst = Instance(1, 0.5, 0.5, 0.3, 0.3, 19.2, 19.2)
+    cfg = ExperimentConfig(enc_pos_dim=8, enc_scale_dim=4)
+    a = encode_one(inst, cfg, np.random.default_rng(1))
+    b = encode_one(inst, replace(cfg, use_scale=False), np.random.default_rng(1))
+    head = cfg.num_classes + 2 * 8
+    assert np.array_equal(a[:head], b[:head])
+    assert np.any(a[head:] != 0) and np.all(b[head:] == 0)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from condkd import tensor as T
+from condkd.config import ExperimentConfig
 from condkd.decoder import Knowledge, compute_values
-from condkd.instances import ConditionSet, EncoderSpec, make_instance
+from condkd.instances import ConditionSet, condition_width, make_instance
 from condkd.losses import (
     AuxHeads,
     aux_loss,
@@ -39,14 +40,14 @@ class TestRegressionTargets:
     def test_opposite_sides_sum_to_box_size_exactly(self):
         # with pixel-aligned corners the float identities l+r == w and
         # t+b == h hold bit-exactly for any jittered interior center
-        spec = EncoderSpec(num_classes=3)
+        cfg = ExperimentConfig()
         rng = np.random.default_rng(0)
         for _ in range(1000):
             x1, y1 = rng.integers(0, 56, 2)
             w_px = int(rng.integers(2, 64 - x1))
             h_px = int(rng.integers(2, 64 - y1))
             inst = pixel_instance(0, int(x1), int(y1), int(x1) + w_px, int(y1) + h_px, image=64)
-            center = condition_center(inst, spec, rng)
+            center = condition_center(inst, cfg, rng)
             l, t, r, b = regression_targets(inst, center)
             assert l + r == inst.w
             assert t + b == inst.h
@@ -104,14 +105,14 @@ class TestLocalizationLoss:
 
 class TestAuxLoss:
     def test_zeroed_heads_give_hand_computable_losses(self):
-        _, sys = mini_system(20)
+        cfg, sys = mini_system(20)
         for lin in (sys.aux.trunk.l1, sys.aux.trunk.l2, sys.aux.trunk.l3,
                     sys.aux.f_obj, sys.aux.f_reg):
             lin.weight.data[...] = 0.0
             lin.bias.data[...] = 0.0
         inst = make_instance(0, 0.5, 0.5, 0.5, 0.5, 16, 16)
         cset = ConditionSet(instances=[inst],
-                            vectors=np.zeros((1, sys.espec.width)),
+                            vectors=np.zeros((1, condition_width(cfg))),
                             centers=np.array([[0.5, 0.5]]))
         g = T.constant(np.zeros((1, 8)))
         idf, loc = aux_loss(g, cset, sys.aux)
@@ -119,9 +120,9 @@ class TestAuxLoss:
         assert abs(loc.item() - 2.0) < 1e-12  # 4 sides, |0.5-0.25| / 0.5 each
 
     def test_subtask_toggles_replace_terms_with_zero(self):
-        _, sys = mini_system(21)
+        cfg, sys = mini_system(21)
         inst = make_instance(1, 0.5, 0.5, 0.5, 0.5, 16, 16)
-        cset = ConditionSet(instances=[inst], vectors=np.zeros((1, sys.espec.width)),
+        cset = ConditionSet(instances=[inst], vectors=np.zeros((1, condition_width(cfg))),
                             centers=np.array([[0.5, 0.5]]))
         g = T.constant(np.random.default_rng(0).normal(size=(1, 8)))
         idf, loc = aux_loss(g, cset, sys.aux, use_idf=False, use_loc=True)
@@ -130,9 +131,9 @@ class TestAuxLoss:
         assert idf.item() != 0.0 and loc.item() == 0.0
 
     def test_row_count_mismatch_is_rejected(self):
-        _, sys = mini_system(22)
+        cfg, sys = mini_system(22)
         inst = make_instance(1, 0.5, 0.5, 0.5, 0.5, 16, 16)
-        cset = ConditionSet(instances=[inst], vectors=np.zeros((1, sys.espec.width)),
+        cset = ConditionSet(instances=[inst], vectors=np.zeros((1, condition_width(cfg))),
                             centers=np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError, match="conditions"):
             aux_loss(T.constant(np.zeros((3, 8))), cset, sys.aux)

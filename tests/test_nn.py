@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from condkd import tensor as T
-from condkd.nn import Linear, Mlp3, MomentumSGD, one_hot, sine_pos_embed
+from condkd.nn import MAX_GRAD_NORM, Linear, Mlp3, MomentumSGD, one_hot, sine_pos_embed
 from condkd.tensor import ParamGroup, ShapeError, Tensor, backward, finite_diff_check
 
 
@@ -184,6 +184,25 @@ def test_fused_step_matches_a_per_tensor_loop_bit_for_bit():
         for p, r in zip(ps, ref):
             assert p.data.tobytes() == r.tobytes()
         assert not g.grad.any()
+
+
+@pytest.mark.parametrize("grad, used", [
+    ([6000.0, 8000.0], [600.0, 800.0]),  # norm 10^4: scaled to the bound
+    ([600.0, 800.0], [600.0, 800.0]),  # exactly at the bound
+    ([0.3, -0.4], [0.3, -0.4]),
+    ([np.inf, 1.0], [np.inf, 1.0]),  # non-finite: left to the loss check
+    ([np.nan, 1.0], [np.nan, 1.0]),
+], ids=["above", "at", "below", "inf", "nan"])
+def test_a_group_gradient_above_the_bound_steps_at_the_bound(grad, used):
+    # the bound is on the group's norm: the two tensors scale together
+    assert MAX_GRAD_NORM == 1000.0
+    g = ParamGroup("student")
+    ps = [g.add("a", [0.0]), g.add("b", [0.0])]
+    opt = MomentumSGD(g, lr=1.0, momentum=0.0)
+    for p, x in zip(ps, grad):
+        p.grad[...] = x
+    opt.step()
+    assert opt.buf.tobytes() == np.array(used).tobytes()
 
 
 def test_registry_union_covers_all_trainables():

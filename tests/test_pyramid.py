@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from condkd import tensor as T
+from condkd.config import ExperimentConfig
 from condkd.instances import make_instance
 from condkd.nn import MomentumSGD, sine_pos_embed
 from condkd.pyramid import (
     EXP_CAP,
-    DetectorConfig,
     ToyDetector,
     assign_cells,
     det_loss,
@@ -18,13 +18,20 @@ from condkd.pyramid import (
 )
 from condkd.tensor import ParamGroup, ShapeError, Tensor, backward, finite_diff_check
 
-TINY = DetectorConfig(image_size=16, num_classes=2, feat_dim=4, widths=(2, 3, 4, 4))
-DESK = DetectorConfig()
+def det_config(image_size, num_classes, feat_dim, widths):
+    """A config whose teacher has backbone `widths`; one head divides any width."""
+    return ExperimentConfig(image_size=image_size, num_classes=num_classes, feat_dim=feat_dim,
+                            heads=1, teacher_widths=widths)
+
+
+TINY = det_config(16, 2, 4, (2, 3, 4, 4))
+DESK = ExperimentConfig()
 
 
 def build(cfg, group_name="teacher", seed=0):
+    """A detector with the teacher's widths of `cfg`."""
     g = ParamGroup(group_name)
-    return ToyDetector(cfg, g, np.random.default_rng(seed)), g
+    return ToyDetector(cfg, cfg.teacher_widths, g, np.random.default_rng(seed)), g
 
 
 def rand_image(cfg, seed=0):
@@ -43,8 +50,6 @@ def test_backbone_rejects_wrong_image_size():
         det.backbone_forward(T.constant(np.zeros((60, 60, 3))))
     with pytest.raises(ShapeError, match=r"\[64, 64, 3\]"):  # channel-first
         det.backbone_forward(T.constant(np.zeros((3, 64, 64))))
-    with pytest.raises(ValueError):
-        ToyDetector(DetectorConfig(image_size=60), ParamGroup("teacher"), np.random.default_rng(0))
 
 
 def test_zero_weight_backbone_constant_features():
@@ -263,8 +268,7 @@ def test_inherit_identical_architectures():
 
 def test_inherit_shape_filter_skips_mismatched_laterals():
     t, _ = build(TINY, "teacher", seed=10)
-    s, _ = build(DetectorConfig(image_size=16, num_classes=2, feat_dim=4, widths=(2, 2, 3, 3)),
-                 "student", seed=11)
+    s, _ = build(det_config(16, 2, 4, (2, 2, 3, 3)), "student", seed=11)
     before = s.conv1.weight.data.copy()
     copied = inherit_parameters(s, t)
     # head (4 tensors) plus lateral biases, whose width-D shape still matches
@@ -278,8 +282,7 @@ def test_inherit_shape_filter_skips_mismatched_laterals():
 def test_inherit_nothing_matches_warns():
     t, _ = build(TINY, "teacher", seed=10)
     # different pyramid width and class count: no non-backbone shape survives
-    s, _ = build(DetectorConfig(image_size=16, num_classes=3, feat_dim=6, widths=(2, 3, 4, 4)),
-                 "student", seed=11)
+    s, _ = build(det_config(16, 3, 6, (2, 3, 4, 4)), "student", seed=11)
     with pytest.warns(UserWarning):
         assert inherit_parameters(s, t) == 0
 
@@ -287,7 +290,7 @@ def test_inherit_nothing_matches_warns():
 def test_inherit_lowers_initial_loss_after_teacher_training():
     # seeded run: the trained head carries class-rate and box-scale calibration
     # that transfers even onto an untrained student backbone
-    cfg = DetectorConfig(image_size=32, num_classes=2, feat_dim=8, widths=(4, 6, 8, 8))
+    cfg = det_config(32, 2, 8, (4, 6, 8, 8))
     rng = np.random.default_rng(100)
     scenes = []
     for _ in range(6):

@@ -93,7 +93,7 @@ class TestTrainTeacher:
         result = tr.train_teacher(cfg, str(tmp_path))
         state = tr.strip_meta(load_checkpoint(result.checkpoint))
         group = ParamGroup("teacher")
-        ToyDetector(cfg.teacher_config(), group, np.random.default_rng((cfg.seed, 10)))
+        ToyDetector(cfg, cfg.teacher_widths, group, np.random.default_rng((cfg.seed, 10)))
         fresh = group_state(group)
         assert set(state) == set(fresh)
         for name, arr in fresh.items():
@@ -129,6 +129,20 @@ class TestCappedBoxExponent:
         cfg = ExperimentConfig(student_iters=64, warmup_iters=0, seed=7103003)
         result = tr.distill_student(cfg, load_checkpoint(teacher.checkpoint), str(tmp_path))
         assert all(np.isfinite(v) for v in result.final.values()), result.final
+
+
+class TestBoundedUpdates:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_student_against_an_untrained_teacher_stays_bounded(self, tmp_path):
+        # without nn.MAX_GRAD_NORM this call raised "loss_det nan at iteration 10"
+        teacher = tr.train_teacher(ExperimentConfig(teacher_iters=0, eval_scenes=4, seed=19302),
+                                   str(tmp_path / "teacher"))
+        cfg = ExperimentConfig(student_iters=64, warmup_iters=0, seed=19302029)
+        result = tr.distill_student(cfg, load_checkpoint(teacher.checkpoint), str(tmp_path))
+        assert all(np.isfinite(v) for v in result.final.values()), result.final
+        weights = [v for k, v in load_checkpoint(result.checkpoint).items()
+                   if k.startswith("student.")]
+        assert max(np.abs(w).max() for w in weights) < 100
 
 
 @pytest.fixture(scope="module")
@@ -572,14 +586,14 @@ class TestDrawOnlySkip:
     @pytest.mark.parametrize("make", [mini_config, ExperimentConfig], ids=["mini", "desk"])
     def test_skip_leaves_the_stream_where_the_real_draws_do(self, make, overrides):
         cfg = make(stats_scenes=16, **overrides)
-        spec, espec, stats = cfg.scene_spec(), cfg.encoder_spec(), tr.dataset_stats(cfg)
+        stats = tr.dataset_stats(cfg)
         real, skip = (np.random.default_rng((cfg.seed, 20)) for _ in range(2))
         for i in range(1000):
-            conds = build_conditions(scene_instances(spec, (cfg.seed, 1, i)), stats,
+            conds = build_conditions(scene_instances(cfg, (cfg.seed, 1, i)), stats,
                                      cfg.fake_ratio, real)
-            encode_set(conds, espec, real, include_scale=cfg.use_scale)
-            n_real = instance_count(spec, np.random.default_rng((cfg.seed, 1, i)))
-            skip_conditions(n_real, stats, cfg.fake_ratio, espec, skip)
+            encode_set(conds, cfg, real)
+            n_real = instance_count(np.random.default_rng((cfg.seed, 1, i)))
+            skip_conditions(n_real, stats, cfg, skip)
             assert skip.bit_generator.state == real.bit_generator.state, i
 
 
@@ -674,7 +688,7 @@ class TestBaselineMasks:
         # centres and the loop's per-cell products are exact and must agree
         _, flat = teacher_flat(cfg)
         for i in range(60):
-            insts = scene_instances(cfg.scene_spec(), (cfg.seed, 1, i))
+            insts = scene_instances(cfg, (cfg.seed, 1, i))
             want = loop_mask_row(variant, insts, cfg.image_size)
             assert tr.baseline_mask_row(variant, flat, insts).tobytes() == want.tobytes(), i
 
@@ -684,7 +698,7 @@ class TestBaselineMasks:
         cfg = mini_config(image_size=48)
         _, flat = teacher_flat(cfg)
         for i in range(40):
-            insts = scene_instances(cfg.scene_spec(), (cfg.seed, 1, i))
+            insts = scene_instances(cfg, (cfg.seed, 1, i))
             pos = assign_cells(flat.layout.centers, insts)[0] >= 0
             row = tr.baseline_mask_row("foreground", flat, insts)
             np.testing.assert_array_equal(row > 0, pos if pos.any() else np.ones_like(pos))
